@@ -158,6 +158,14 @@ class RunConfig:
             f"rho_min={self.problem.rho_min!r} rho_max={self.problem.rho_max!r} M={self.problem.mass!r} p={self.problem.order}",
         ]
 
+    def trace_header(self) -> dict:
+        """Header fields of ``trace.txt``, complete or partial."""
+        return {
+            "config": self.config_hash, "nodes": self.grid.node_count,
+            "rho_min": self.problem.rho_min, "rho_max": self.problem.rho_max,
+            "M": self.problem.mass, "p": self.problem.order,
+        }
+
 
 def _build_grid_spec(values: dict) -> GridSpec:
     d = values["d"]
@@ -489,11 +497,7 @@ def _export_solution(config: RunConfig, out: Path, density, pair, partition, tra
             head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}")))
         _write(out / "grid.csv", grid_csv(config.grid, head("grid nodes")))
     if config.export_trace:
-        _write(out / "trace.txt", trace_text(trace, {
-            "config": config.config_hash, "nodes": config.grid.node_count,
-            "rho_min": config.problem.rho_min, "rho_max": config.problem.rho_max,
-            "M": config.problem.mass, "p": config.problem.order,
-        }))
+        _write(out / "trace.txt", trace_text(trace, config.trace_header()))
     _write(out / "partition.txt", partition_text(partition, head("low-region partition")))
     if config.export_contours and config.grid.dimension == 2:
         contours = extract_contour(pair.vector, partition.threshold, config.grid)
@@ -703,12 +707,7 @@ def run(config: RunConfig) -> int:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and config.export_trace:
             partial.status = "aborted"
-            _write(out / "trace.txt", trace_text(partial, {
-                "config": config.config_hash, "nodes": config.grid.node_count,
-                "rho_min": config.problem.rho_min,
-                "rho_max": config.problem.rho_max,
-                "M": config.problem.mass, "p": config.problem.order,
-            }))
+            _write(out / "trace.txt", trace_text(partial, config.trace_header()))
         _status_file(out, config, False, f"solver failure: {exc}")
         return 2
 

@@ -1,10 +1,14 @@
 """First eigenpair of A phi = mu W phi by inverse power iteration.
 
-The inner solver is plain conjugate gradients; the outer loop repeatedly
-solves A y = W x and renormalizes in the W inner product.  Both are
-deterministic: fixed all-ones start, no randomization, no threading.
-The Rayleigh quotient of the iterates is non-increasing, which the outer
-density optimization relies on for monotone descent.
+The outer loop repeatedly solves A y = W x and renormalizes in the W
+inner product.  Every inner solve goes through ``solve_spd``, which has
+two backends: the cached sparse LU factor of an assembled stiffness
+matrix (2D grids up to ``FACTOR_MAX_NODES`` nodes, see
+``StiffnessMatrix.factored``), and plain conjugate gradients for every
+other matrix.  Both are deterministic: fixed all-ones start, no
+randomization, no threading (SuperLU is single-threaded).  The Rayleigh
+quotient of the iterates is non-increasing, which the outer density
+optimization relies on for monotone descent.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operators import StiffnessMatrix
 
 __all__ = [
     "CGStagnationError",
@@ -74,19 +80,25 @@ def _matrix(A) -> "np.ndarray | object":
 
 
 def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.ndarray:
-    """Conjugate gradients for SPD A, to relative residual <= tol.
+    """Solve A x = b for SPD A.
 
-    Caps at 10x the dimension; exceeding the cap (or meeting a direction of
-    non-positive curvature, the signature of an ill-assembled matrix)
-    raises CGStagnationError.
+    When A is an assembled StiffnessMatrix that carries a sparse factor,
+    the solve is a direct triangular solve with that factor; ``tol`` and
+    ``x0`` do not apply.  Otherwise conjugate gradients run from ``x0`` (or
+    zero) to relative residual <= tol, capped at 10x the dimension;
+    exceeding the cap (or meeting a direction of non-positive curvature,
+    the signature of an ill-assembled matrix) raises CGStagnationError.
     """
-    mat = _matrix(A)
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
+    if isinstance(A, StiffnessMatrix) and A.factor is not None:
+        return A.factor.solve(b)
+
+    mat = _matrix(A)
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -154,7 +166,7 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
         iterations = it
         rhs = w * x
         guess = x / mu_prev if mu_prev is not None else None
-        y = solve_spd(mat, rhs, opts.cg_rel_tol, x0=guess)
+        y = solve_spd(A, rhs, opts.cg_rel_tol, x0=guess)
         scale = float(y @ (w * y))
         if scale <= 0.0:
             raise SolverError("inverse iteration produced a degenerate iterate")

@@ -19,6 +19,7 @@ background weight field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +27,7 @@ import scipy.sparse as sp
 from .grid import Grid
 
 __all__ = [
+    "FACTOR_MAX_NODES",
     "OperatorSpec",
     "StiffnessMatrix",
     "WeightVector",
@@ -36,6 +38,9 @@ __all__ = [
 
 # diagonal weight of the generalized eigenproblem, sigma_i = rho_i e^(2w_i)
 WeightVector = np.ndarray
+
+# largest 2D grid whose stiffness is factored; see StiffnessMatrix.factored
+FACTOR_MAX_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,39 @@ class StiffnessMatrix:
     matrix: sp.csr_matrix
     order: int
     spacing: float
+    dimension: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    @property
+    def factored(self) -> bool:
+        """Whether linear solves use a sparse LU factor rather than CG.
+
+        Two-dimensional grids up to FACTOR_MAX_NODES nodes are factored;
+        everywhere else fill-in costs more than conjugate gradients save.
+        Measured with the minimum-degree ordering used by ``factor``:
+
+        - disk h=1/64 (12849 nodes): 0.52M fill entries (5.9 MB), under
+          0.05 s to factor;
+        - disk h=1/128 (51429 nodes): 2.7M fill entries, peak RSS grows by
+          52 MB on a 92 MB process;
+        - 4D clamped plate h=1/10 (6561 nodes): 6.3 s and 429 MB to factor.
+        """
+        return self.dimension == 2 and self.shape[0] <= FACTOR_MAX_NODES
+
+    @cached_property
+    def factor(self):
+        """SuperLU factor of the matrix, built on first use and then reused
+        for every solve; None where the matrix is not ``factored``."""
+        if not self.factored:
+            return None
+        # deferred so that CG-only runs never load scipy.sparse.linalg
+        from scipy.sparse.linalg import splu
+
+        return splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -164,7 +198,8 @@ def assemble_stiffness(grid: Grid, spec: OperatorSpec = OperatorSpec()) -> Stiff
     mat = mat * grid.spacing ** float(-spec.order)
     mat.sort_indices()
     mat.data.setflags(write=False)
-    return StiffnessMatrix(matrix=mat, order=spec.order, spacing=grid.spacing)
+    return StiffnessMatrix(matrix=mat, order=spec.order, spacing=grid.spacing,
+                           dimension=grid.dimension)
 
 
 def assemble_weight(grid: Grid, rho) -> WeightVector:

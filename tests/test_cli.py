@@ -184,6 +184,19 @@ def test_plate_run_end_to_end(tmp_path):
     assert (out / "partition.txt").exists()
 
 
+def test_plate_square_refined_to_h32_converges(tmp_path):
+    # configs/plate_square.cfg one refinement down, M = |Omega| = (31/32)^2;
+    # refinement must not fail at the default solver settings
+    text = (Path(__file__).resolve().parents[1] / "configs" / "plate_square.cfg").read_text()
+    text = text.replace("h = 1/16", "h = 1/32").replace(
+        "M = 0.87890625", "M = 0.9384765625")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["plate", "--config", cfg, "--out", str(out)]) == 0
+    assert "status = ok" in (out / "status.txt").read_text()
+    assert parse_config(text).grid.node_count == 31 * 31
+
+
 def test_check_subcommand_reports(tmp_path):
     text = ("shape = square\nh = 1/8\nA = 0.6931471805599453\nM = 0.766\n"
             "check_levels = 2\n")

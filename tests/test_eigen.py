@@ -1,13 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt.cli import parse_config
 from membrane_opt.eigen import CGStagnationError, EigenConvergenceError, solve_spd
+from membrane_opt.operators import FACTOR_MAX_NODES
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _laplacian(h):
@@ -157,3 +163,83 @@ def test_weight_must_be_positive():
     _, a = _laplacian(0.25)
     with pytest.raises(ValueError, match="positive"):
         mo.first_eigenpair(a, np.zeros(a.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# the factored backend against conjugate gradients and a dense oracle
+
+_MASK_H = 1.0 / 8
+_MASK_CELLS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
+
+
+def _lattice_mask(members):
+    cells = frozenset(members)
+    return mo.Mask(lambda p: (round(p[0] / _MASK_H), round(p[1] / _MASK_H)) in cells)
+
+
+def _assert_backends_agree(a, w, opts=mo.SolverOptions()):
+    assert a.factor is not None
+    factored = mo.first_eigenpair(a, w, opts)
+    plain = mo.first_eigenpair(a.matrix, w, opts)
+    values, vectors = scipy.linalg.eigh(a.to_dense(), np.diag(w))
+    dense = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
+    for pair in (factored, plain):
+        assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
+        assert np.max(np.abs(pair.vector - dense)) <= 1e-6 * np.max(np.abs(dense))
+
+
+@given(st.lists(st.booleans(), min_size=len(_MASK_CELLS), max_size=len(_MASK_CELLS)),
+       st.lists(st.floats(min_value=0.5, max_value=2.0),
+                min_size=len(_MASK_CELLS), max_size=len(_MASK_CELLS)))
+@settings(max_examples=30, deadline=None)
+def test_factored_cg_and_dense_agree_on_random_masks(inside, weights):
+    members = [cell for cell, keep in zip(_MASK_CELLS, inside) if keep]
+    assume(members)
+    g = mo.build_grid(mo.GridSpec(2, _MASK_H, ((0.0, 1.0), (0.0, 1.0)),
+                                  _lattice_mask(members)))
+    a = mo.assemble_stiffness(g)
+    w = np.asarray(weights[:g.node_count])
+    # power iteration needs a gap; disconnected masks can have none
+    values = scipy.linalg.eigvalsh(a.to_dense(), np.diag(w))
+    assume(values.size == 1 or values[1] >= 1.1 * values[0])
+    _assert_backends_agree(a, w)
+
+
+def test_factored_cg_and_dense_agree_on_plate():
+    g = mo.build_grid(mo.square_spec(_MASK_H))
+    a = mo.assemble_stiffness(g, mo.OperatorSpec(order=4))
+    w = np.linspace(0.5, 2.0, g.node_count)
+    _assert_backends_agree(a, w, mo.SolverOptions(cg_rel_tol=1e-12))
+
+
+def test_backend_rule_factors_small_2d_grids_only():
+    dumbbell = mo.assemble_stiffness(mo.build_grid(mo.dumbbell_spec(1.0 / 32)))
+    plate = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 64)),
+                                  mo.OperatorSpec(order=4))
+    assert dumbbell.factor is not None and plate.factor is not None
+
+    # the rule is read without building these factors
+    config = parse_config(_CONFIGS.joinpath("plate_4d.cfg").read_text(), subcommand="plate")
+    plate_4d = mo.assemble_stiffness(config.grid, mo.OperatorSpec(order=config.problem.order))
+    assert plate_4d.order == 4 and plate_4d.dimension == 4 and not plate_4d.factored
+    big = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 130)))
+    assert big.dimension == 2 and big.shape[0] > FACTOR_MAX_NODES
+    assert not big.factored
+    assert plate_4d.factor is None and big.factor is None
+
+
+def test_factored_solve_rejects_nonfinite_rhs():
+    g, a = _laplacian(1.0 / 8)
+    assert a.factor is not None
+    b = np.ones(g.node_count)
+    b[3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solve_spd(a, b, 1e-10)
+
+
+def test_factored_solve_is_direct():
+    g, a = _laplacian(1.0 / 16)
+    rng = np.random.default_rng(3)
+    x_true = rng.standard_normal(g.node_count)
+    x = solve_spd(a, a.matrix @ x_true, 0.5, x0=np.zeros(g.node_count))
+    assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
