@@ -85,7 +85,8 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
     When A is an assembled StiffnessMatrix that carries a sparse factor,
     the solve is a direct triangular solve with that factor; ``tol`` and
     ``x0`` do not apply.  Otherwise conjugate gradients run from ``x0`` (or
-    zero) to relative residual <= tol, capped at 10x the dimension;
+    zero) to relative residual <= tol, taking at least one step unless
+    ``x0`` solves the system exactly, capped at 10x the dimension;
     exceeding the cap (or meeting a direction of non-positive curvature,
     the signature of an ill-assembled matrix) raises CGStagnationError.
     """
@@ -111,7 +112,9 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
     target = tol * norm_b
     cap = 10 * b.shape[0]
     for it in range(cap):
-        if np.sqrt(rs) <= target:
+        # a warm start that already meets the target still takes one step:
+        # returned unchanged, it would stall the inverse iteration built on it
+        if np.sqrt(rs) <= target and (it > 0 or rs == 0.0):
             return x
         ap = mat @ p
         p_ap = float(p @ ap)

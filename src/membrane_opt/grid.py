@@ -3,9 +3,11 @@
 A grid is the set of lattice points of spacing ``h`` that lie strictly
 inside a shape and strictly inside the lattice bounding box.  Nodes are
 ordered lexicographically by integer coordinate, so construction is
-bitwise deterministic.  Boundary values are never stored: a missing axis
-neighbor means the homogeneous Dirichlet condition applies across that
-edge.
+bitwise deterministic, and a dense lattice index array maps every lattice
+point back to its node (-1 where there is none); neighbor tables, lookups
+and reflections are array indexing into it.  Boundary values are never
+stored: a missing axis neighbor means the homogeneous Dirichlet condition
+applies across that edge.
 
 Each node optionally carries a background weight ``e^(2w)`` evaluated
 from a user-supplied exponent field ``w``; the measure of a node is then
@@ -17,10 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Annulus",
@@ -51,8 +54,15 @@ class Rectangle:
 
     assume_connected = True
 
-    def contains(self, point: np.ndarray) -> bool:
-        return True
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return np.ones(points.shape[0], dtype=bool)
+
+
+def _squared_distance(points: np.ndarray, center: tuple[float, ...]) -> np.ndarray:
+    r2 = np.zeros(points.shape[0])
+    for k, c in enumerate(center):
+        r2 += (points[:, k] - c) ** 2
+    return r2
 
 
 @dataclass(frozen=True)
@@ -64,11 +74,8 @@ class Disk:
 
     assume_connected = True
 
-    def contains(self, point: np.ndarray) -> bool:
-        r2 = 0.0
-        for x, c in zip(point, self.center):
-            r2 += (x - c) ** 2
-        return r2 < self.radius**2
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return _squared_distance(points, self.center) < self.radius**2
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,9 @@ class Annulus:
 
     assume_connected = True
 
-    def contains(self, point: np.ndarray) -> bool:
-        r2 = 0.0
-        for x, c in zip(point, self.center):
-            r2 += (x - c) ** 2
-        return self.inner_radius**2 < r2 < self.outer_radius**2
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        r2 = _squared_distance(points, self.center)
+        return (self.inner_radius**2 < r2) & (r2 < self.outer_radius**2)
 
 
 @dataclass(frozen=True)
@@ -103,15 +108,17 @@ class Dumbbell:
 
     assume_connected = True
 
-    def contains(self, point: np.ndarray) -> bool:
-        x, y = float(point[0]), float(point[1])
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        x, y = points[:, 0], points[:, 1]
         a, length, width = self.bell, self.neck_length, self.neck_width
-        if 0.0 < y < a and (0.0 < x < a or a + length < x < 2.0 * a + length):
-            return True
+        bells = (0.0 < y) & (y < a) & (
+            ((0.0 < x) & (x < a)) | ((a + length < x) & (x < 2.0 * a + length))
+        )
         # closed in x across the seams, open in y: the neck's long sides are walls
         lo = 0.5 * (a - width)
         hi = 0.5 * (a + width)
-        return a <= x <= a + length and lo < y < hi
+        neck = (a <= x) & (x <= a + length) & (lo < y) & (y < hi)
+        return bells | neck
 
 
 @dataclass(frozen=True)
@@ -121,8 +128,9 @@ class Mask:
     predicate: Callable[[np.ndarray], bool]
     assume_connected: bool = False
 
-    def contains(self, point: np.ndarray) -> bool:
-        return bool(self.predicate(point))
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return np.fromiter((bool(self.predicate(p)) for p in points), dtype=bool,
+                           count=points.shape[0])
 
 
 Shape = Rectangle | Disk | Annulus | Dumbbell | Mask
@@ -216,17 +224,21 @@ class Grid:
     ``nodes`` holds integer coordinates, one row per interior node, in
     lexicographic order.  ``neighbors`` has one row per node with 2d slots
     ordered (axis0-, axis0+, axis1-, axis1+, ...); -1 marks a missing
-    neighbor, i.e. a homogeneous Dirichlet wall.
+    neighbor, i.e. a homogeneous Dirichlet wall.  ``lattice`` is the
+    inverse of ``nodes``: ``lattice[i + 1]`` is the index of the node at
+    integer coordinates ``i`` (0 <= i_k <= lattice_cells[k]), -1 where
+    there is none.  It carries one layer of -1 padding on every side, so
+    that the neighbors of Dirichlet-layer points stay in bounds; use
+    ``lookup`` or ``find`` rather than indexing it directly.
     """
 
     spec: GridSpec
     nodes: np.ndarray
     neighbors: np.ndarray
-    boundary_adjacent: np.ndarray
+    lattice: np.ndarray
     e2w: np.ndarray
     lattice_cells: tuple[int, ...]
     warnings: tuple[str, ...] = ()
-    _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -261,29 +273,37 @@ class Grid:
         """Physical node centers, shape (N, d)."""
         return np.asarray(self.origin) + self.nodes * self.spacing
 
+    def lookup(self, points: np.ndarray) -> np.ndarray:
+        """Node indices for an (N, d) array of integer coordinates, -1 where
+        there is no node.  Each coordinate must lie in -1..lattice_cells[k]+1,
+        i.e. within one step of the lattice."""
+        return self.lattice[tuple(np.asarray(points).T + 1)]
+
     def find(self, coords: Sequence[int]) -> int:
         """Node index for integer coordinates, or -1 if absent."""
-        return self._index.get(tuple(int(c) for c in coords), -1)
+        point = np.asarray(coords, dtype=np.int64)
+        if np.any(point < 0) or np.any(point > self.lattice_cells):
+            return -1
+        return int(self.lookup(point[None])[0])
 
 
-def _component_count(neighbors: np.ndarray, members: np.ndarray) -> int:
-    """Connected components of a 0/1 membership vector under the axis graph."""
+def neighbor_steps(dimension: int) -> np.ndarray:
+    """Integer coordinate offset of each ``neighbors`` slot, shape (2d, d)."""
+    unit = np.eye(dimension, dtype=np.int64)
+    return np.stack([-unit, unit], axis=1).reshape(2 * dimension, dimension)
+
+
+def component_count(neighbors: np.ndarray, members: np.ndarray) -> int:
+    """Connected components of the member nodes (a boolean mask over all
+    nodes) under the axis-neighbor graph."""
+    src, slot = np.nonzero(neighbors >= 0)
+    dst = neighbors[src, slot]
+    keep = members[src] & members[dst]
     n = members.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    for start in range(n):
-        if not members[start] or seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in neighbors[i]:
-                if j >= 0 and members[j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-    return count
+    graph = sp.coo_matrix((np.ones(int(np.count_nonzero(keep))), (src[keep], dst[keep])),
+                          shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    return int(np.unique(labels[members]).size)
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -300,30 +320,23 @@ def build_grid(spec: GridSpec) -> Grid:
         cells.append(int(math.floor((hi - lo) / h + 1e-9)))
     origin = np.array([lo for lo, _ in spec.bounds])
 
-    nodes: list[tuple[int, ...]] = []
-    ranges = [range(1, n) for n in cells]
-    for idx in product(*ranges):
-        point = origin + h * np.asarray(idx, dtype=float)
-        if spec.shape.contains(point):
-            nodes.append(idx)
-    if not nodes:
+    # lattice points off the bounding-box boundary, in C (lexicographic) order
+    inner = tuple(max(c - 1, 0) for c in cells)
+    candidates = np.indices(inner, dtype=np.int64).reshape(d, -1).T + 1
+    node_arr = candidates[spec.shape.contains(origin + h * candidates.astype(float))]
+    n = node_arr.shape[0]
+    if n == 0:
         raise ValueError(
             "degenerate domain: no interior nodes "
             f"(shape {type(spec.shape).__name__}, h={h})"
         )
 
-    node_arr = np.array(nodes, dtype=np.int64)
-    index = {tup: i for i, tup in enumerate(nodes)}
+    lattice = np.full(tuple(c + 3 for c in cells), -1, dtype=np.int64)
+    lattice[tuple(node_arr.T + 1)] = np.arange(n)
 
-    n = len(nodes)
-    neighbors = np.full((n, 2 * d), -1, dtype=np.int64)
-    for i, tup in enumerate(nodes):
-        for ax in range(d):
-            for slot, step in ((2 * ax, -1), (2 * ax + 1, +1)):
-                other = list(tup)
-                other[ax] += step
-                neighbors[i, slot] = index.get(tuple(other), -1)
-    boundary_adjacent = np.any(neighbors < 0, axis=1)
+    neighbors = np.empty((n, 2 * d), dtype=np.int64)
+    for slot, step in enumerate(neighbor_steps(d)):
+        neighbors[:, slot] = lattice[tuple((node_arr + step).T + 1)]
 
     if spec.background is not None:
         if d != 2:
@@ -340,24 +353,23 @@ def build_grid(spec: GridSpec) -> Grid:
 
     warnings: tuple[str, ...] = ()
     if getattr(spec.shape, "assume_connected", False):
-        parts = _component_count(neighbors, np.ones(n, dtype=bool))
+        parts = component_count(neighbors, np.ones(n, dtype=bool))
         if parts > 1:
             warnings = (
                 f"disconnected interior: {parts} components for a shape "
                 "declared connected",
             )
 
-    for arr in (node_arr, neighbors, boundary_adjacent, e2w):
+    for arr in (node_arr, neighbors, lattice, e2w):
         arr.setflags(write=False)
     return Grid(
         spec=spec,
         nodes=node_arr,
         neighbors=neighbors,
-        boundary_adjacent=boundary_adjacent,
+        lattice=lattice,
         e2w=e2w,
         lattice_cells=tuple(cells),
         warnings=warnings,
-        _index=index,
     )
 
 
@@ -371,18 +383,16 @@ def mirror_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
 
     Raises if the node set is not symmetric under that reflection.
     """
-    n_ax = grid.lattice_cells[axis]
-    perm = np.empty(grid.node_count, dtype=np.int64)
-    for i, tup in enumerate(map(tuple, grid.nodes)):
-        other = list(tup)
-        other[axis] = n_ax - other[axis]
-        j = grid.find(other)
-        if j < 0:
-            raise ValueError(
-                f"grid is not mirror-symmetric about axis {axis} "
-                f"(node {tup} has no image)"
-            )
-        perm[i] = j
+    image = grid.nodes.copy()
+    image[:, axis] = grid.lattice_cells[axis] - image[:, axis]
+    perm = grid.lookup(image)
+    missing = np.flatnonzero(perm < 0)
+    if missing.size:
+        node = tuple(int(v) for v in grid.nodes[missing[0]])
+        raise ValueError(
+            f"grid is not mirror-symmetric about axis {axis} "
+            f"(node {node} has no image)"
+        )
     return perm
 
 

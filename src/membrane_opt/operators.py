@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .grid import Grid
+from .grid import Grid, neighbor_steps
 
 __all__ = [
     "FACTOR_MAX_NODES",
@@ -89,9 +90,6 @@ class StiffnessMatrix:
         for every solve; None where the matrix is not ``factored``."""
         if not self.factored:
             return None
-        # deferred so that CG-only runs never load scipy.sparse.linalg
-        from scipy.sparse.linalg import splu
-
         return splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
@@ -119,63 +117,38 @@ def _laplacian_interior(grid: Grid) -> sp.csr_matrix:
     return mat
 
 
-def _dirichlet_layer(grid: Grid) -> list[tuple[int, ...]]:
-    """Lattice points outside the interior that touch it, in sorted order."""
-    layer: set[tuple[int, ...]] = set()
-    for i, tup in enumerate(map(tuple, grid.nodes)):
-        for ax in range(grid.dimension):
-            for step in (-1, +1):
-                if grid.neighbors[i, 2 * ax + (step + 1) // 2] < 0:
-                    other = list(tup)
-                    other[ax] += step
-                    layer.add(tuple(other))
-    return sorted(layer)
-
-
 def _bilaplacian(grid: Grid) -> sp.csr_matrix:
     """Integer-unit clamped bilaplacian (h^4 times Lap^2) via composition."""
     n = grid.node_count
     d = grid.dimension
     lap = _laplacian_interior(grid)
 
-    layer = _dirichlet_layer(grid)
-    layer_index = {tup: k for k, tup in enumerate(layer)}
-    m = len(layer)
+    # the Dirichlet layer: lattice points outside the interior that touch it,
+    # one behind each missing neighbor slot, deduplicated in sorted order;
+    # g_mat is the interior-to-layer adjacency for the outer application
+    steps = neighbor_steps(d)
+    src, slot = np.nonzero(grid.neighbors < 0)
+    layer, g_cols = np.unique(grid.nodes[src] + steps[slot], axis=0,
+                              return_inverse=True)
+    m = layer.shape[0]
+    g_mat = sp.coo_matrix(
+        (np.ones(src.shape[0]), (src, g_cols.ravel())), shape=(n, m)
+    ).tocsr()
 
     # rows of the intermediate Laplacian restricted to the Dirichlet layer:
     # neighbor value if interior, else the mirrored (opposite) interior value
-    z_rows: list[int] = []
-    z_cols: list[int] = []
-    z_data: list[float] = []
-    for k, tup in enumerate(layer):
-        for ax in range(d):
-            minus = list(tup)
-            minus[ax] -= 1
-            plus = list(tup)
-            plus[ax] += 1
-            i_minus = grid.find(minus)
-            i_plus = grid.find(plus)
-            for direct, mirror in ((i_minus, i_plus), (i_plus, i_minus)):
-                col = direct if direct >= 0 else mirror
-                if col >= 0:
-                    z_rows.append(k)
-                    z_cols.append(col)
-                    z_data.append(1.0)
-    z_mat = sp.coo_matrix((z_data, (z_rows, z_cols)), shape=(m, n)).tocsr()
-
-    # interior-to-layer adjacency for the outer application
-    g_rows: list[int] = []
-    g_cols: list[int] = []
-    for i, tup in enumerate(map(tuple, grid.nodes)):
-        for ax in range(d):
-            for step in (-1, +1):
-                if grid.neighbors[i, 2 * ax + (step + 1) // 2] < 0:
-                    other = list(tup)
-                    other[ax] += step
-                    g_rows.append(i)
-                    g_cols.append(layer_index[tuple(other)])
-    g_mat = sp.coo_matrix(
-        (np.ones(len(g_rows)), (g_rows, g_cols)), shape=(n, m)
+    z_rows: list[np.ndarray] = []
+    z_cols: list[np.ndarray] = []
+    for ax in range(d):
+        i_minus = grid.lookup(layer + steps[2 * ax])
+        i_plus = grid.lookup(layer + steps[2 * ax + 1])
+        for direct, mirror in ((i_minus, i_plus), (i_plus, i_minus)):
+            col = np.where(direct >= 0, direct, mirror)
+            z_rows.append(np.flatnonzero(col >= 0))
+            z_cols.append(col[col >= 0])
+    rows = np.concatenate(z_rows)
+    z_mat = sp.coo_matrix(
+        (np.ones(rows.shape[0]), (rows, np.concatenate(z_cols))), shape=(m, n)
     ).tocsr()
 
     # both applications carry -Lap: layer values of -h^2 Lap(phi) are -(z phi),

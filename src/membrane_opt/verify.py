@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .eigen import SolverOptions
-from .grid import Disk, Grid, domain_volume
+from .grid import Disk, Grid, component_count, domain_volume
 from .optimizer import (
     DensityField,
     LevelSetPartition,
@@ -182,28 +182,9 @@ def sublevel_check(phi: np.ndarray, partition: LevelSetPartition,
 def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
     """Connected components of a node set under the 2d-neighbor stencil graph."""
     members = np.zeros(grid.node_count, dtype=bool)
-    idx = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                     dtype=np.int64)
-    if idx.size == 0:
-        return 0
-    members[idx] = True
-    seen = np.zeros(grid.node_count, dtype=bool)
-    count = 0
-    for start in idx:
-        start = int(start)
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            for j in grid.neighbors[i]:
-                j = int(j)
-                if j >= 0 and members[j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-    return count
+    members[np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
+                       dtype=np.int64)] = True
+    return component_count(grid.neighbors, members)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,15 @@ def test_factored_cg_and_dense_agree_on_random_masks(inside, weights):
     _assert_backends_agree(a, w)
 
 
+def test_cg_warm_start_does_not_stall_inverse_iteration():
+    # mu ~ 165 on three nodes: once the eigen-residual over mu drops below
+    # cg_rel_tol, a warm start returned unchanged would pin the residual
+    # near mu * cg_rel_tol, above the 10 * eig_rel_tol stopping target
+    g = mo.build_grid(mo.GridSpec(2, _MASK_H, ((0.0, 1.0), (0.0, 1.0)),
+                                  _lattice_mask([(7, 5), (7, 6), (7, 7)])))
+    _assert_backends_agree(mo.assemble_stiffness(g), np.ones(g.node_count))
+
+
 def test_factored_cg_and_dense_agree_on_plate():
     g = mo.build_grid(mo.square_spec(_MASK_H))
     a = mo.assemble_stiffness(g, mo.OperatorSpec(order=4))

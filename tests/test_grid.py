@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
@@ -155,3 +156,105 @@ def test_grid_arrays_are_read_only():
     g = mo.build_grid(mo.square_spec(0.25))
     with pytest.raises(ValueError):
         g.nodes[0, 0] = 7
+
+
+# ---------------------------------------------------------------------------
+# the lattice index against a dict-and-BFS reference written independently
+# of build_grid
+
+_REF_H = 1.0 / 6
+
+
+def _reference_nodes(spec):
+    """Interior nodes of a Mask or Rectangle spec, one predicate call each."""
+    cells = [int(math.floor((hi - lo) / spec.spacing + 1e-9)) for lo, hi in spec.bounds]
+    origin = np.array([lo for lo, _ in spec.bounds])
+    nodes = []
+    for idx in itertools.product(*(range(1, n) for n in cells)):
+        point = origin + spec.spacing * np.asarray(idx, dtype=float)
+        if isinstance(spec.shape, mo.Rectangle) or spec.shape.predicate(point):
+            nodes.append(idx)
+    return cells, nodes
+
+
+def _shifted(point, axis, step):
+    out = list(point)
+    out[axis] += step
+    return tuple(out)
+
+
+def _reference_components(members):
+    seen = set()
+    count = 0
+    for start in members:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            point = queue.pop()
+            for axis in range(len(point)):
+                for step in (-1, 1):
+                    nb = _shifted(point, axis, step)
+                    if nb in members and nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+    return count
+
+
+def _check_against_reference(g, member_flags):
+    d = g.dimension
+    cells, nodes = _reference_nodes(g.spec)
+    index = {point: i for i, point in enumerate(nodes)}
+    assert g.lattice_cells == tuple(cells)
+    assert [tuple(int(v) for v in row) for row in g.nodes] == nodes
+    expected = [[index.get(_shifted(point, axis, step), -1)
+                 for axis in range(d) for step in (-1, 1)] for point in nodes]
+    assert g.neighbors.tolist() == expected
+    # every coordinate from two below the lattice to two above it
+    for point in itertools.product(*(range(-2, n + 3) for n in cells)):
+        assert g.find(point) == index.get(point, -1)
+    for axis in range(d):
+        image = {point: index.get(_shifted(point, axis, cells[axis] - 2 * point[axis]), -1)
+                 for point in nodes}
+        if min(image.values()) < 0:
+            with pytest.raises(ValueError, match="not mirror-symmetric"):
+                mo.mirror_permutation(g, axis)
+        else:
+            assert mo.mirror_permutation(g, axis).tolist() == list(image.values())
+    members = np.flatnonzero(member_flags[:g.node_count])
+    assert mo.count_components(members, g) == \
+        _reference_components({nodes[i] for i in members})
+
+
+@given(st.lists(st.booleans(), min_size=25, max_size=25),
+       st.lists(st.booleans(), min_size=25, max_size=25))
+@settings(max_examples=40, deadline=None)
+def test_lattice_matches_reference_on_random_masks(inside, member_flags):
+    cells = frozenset(point for point, keep in
+                      zip(itertools.product(range(1, 6), repeat=2), inside) if keep)
+    assume(cells)
+    mask = mo.Mask(lambda p: (round(p[0] / _REF_H), round(p[1] / _REF_H)) in cells)
+    g = mo.build_grid(mo.GridSpec(2, _REF_H, ((0.0, 1.0), (0.0, 1.0)), mask))
+    _check_against_reference(g, np.asarray(member_flags))
+
+
+@pytest.mark.parametrize("dimension", [3, 4])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_lattice_matches_reference_on_boxes(dimension, data):
+    sides = data.draw(st.lists(st.integers(min_value=2, max_value=4),
+                               min_size=dimension, max_size=dimension))
+    g = mo.build_grid(mo.box_spec(1.0, [(0.0, float(n)) for n in sides]))
+    flags = data.draw(st.lists(st.booleans(), min_size=g.node_count,
+                               max_size=g.node_count))
+    _check_against_reference(g, np.asarray(flags, dtype=bool))
+
+
+def test_mirror_permutation_rejects_asymmetric_mask():
+    g = mo.build_grid(mo.GridSpec(2, _REF_H, ((0.0, 1.0), (0.0, 1.0)),
+                                  mo.Mask(lambda p: p[0] < 0.4)))
+    assert mo.mirror_permutation(g, axis=1).shape == (g.node_count,)
+    with pytest.raises(ValueError, match=r"not mirror-symmetric about axis 0 \(node \(1, 1\)"):
+        mo.mirror_permutation(g, axis=0)

@@ -66,6 +66,10 @@ def _symbolic_bilaplacian(grid):
     mo.square_spec(0.25),
     mo.box_spec(0.5, [(0.0, 3.0)]),
     mo.disk_spec(0.25),
+    mo.dumbbell_spec(1.0 / 16),
+    mo.annulus_spec(1.0 / 8, 0.4, 1.0),
+    mo.square_spec(0.25, dimension=3),
+    mo.square_spec(0.25, dimension=4),
 ])
 def test_bilaplacian_matches_symbolic_double_application(spec):
     g = mo.build_grid(spec)
