@@ -56,6 +56,7 @@ from .optimizer import (
     minimize,
 )
 from .verify import (
+    check_oracle_input,
     contour_csv,
     enumerate_optimal,
     extract_contour,
@@ -360,24 +361,17 @@ def parse_config(text: str, subcommand: str | None = None,
         raise ConfigError("key 'check_levels': need at least 2 refinement levels")
     oracle_cap = _parse_int("oracle_cap", pairs.get("oracle_cap", "20"))
 
+    if sub == "oracle":
+        try:
+            check_oracle_input(grid, oracle_cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     raw = {
         "subcommand": sub,
-        "d": values["d"],
-        "shape": values["shape"],
-        "h": values["h"],
-        "side": values["side"],
-        "bbox": values["bbox"],
-        "center": values["center"],
-        "radius": values["radius"],
-        "r_in": values["r_in"],
-        "r_out": values["r_out"],
-        "bell": values["bell"],
-        "neck_length": values["neck_length"],
-        "neck_width": values["neck_width"],
-        "bump_amplitude": values["bump_amplitude"],
+        **values,
         "rho_min": lam,
         "rho_max": big_lam,
-        "M": values["M"],
         "n": n,
         "p": p,
         "cg_tol": solver.cg_rel_tol,
@@ -522,11 +516,16 @@ def _run_solve(config: RunConfig, out: Path) -> int:
     return 0 if ok else 2
 
 
+def _seed_runs(config: RunConfig) -> list:
+    """One ``minimize`` result per configured seed, in seed order."""
+    return [minimize(config.problem, init=seed, opts=config.solver,
+                     max_alternations=config.max_alternations)
+            for seed in config.seeds]
+
+
 def _run_oracle(config: RunConfig, out: Path) -> int:
     oracle = enumerate_optimal(config.grid, config.problem, node_cap=config.oracle_cap)
-    results = [minimize(config.problem, init=seed, opts=config.solver,
-                        max_alternations=config.max_alternations)
-               for seed in config.seeds]
+    results = _seed_runs(config)
     best = min(r[1].eigenvalue for r in results)
     rel = abs(best - oracle.eigenvalue) / abs(oracle.eigenvalue)
     verdict = "MATCH" if rel <= 1e-10 else "MISMATCH"
@@ -555,9 +554,7 @@ def _run_oracle(config: RunConfig, out: Path) -> int:
 
 
 def _run_sweep(config: RunConfig, out: Path) -> int:
-    results = [minimize(config.problem, init=seed, opts=config.solver,
-                        max_alternations=config.max_alternations)
-               for seed in config.seeds]
+    results = _seed_runs(config)
     classes, labels = classify_solutions(config.seeds, results,
                                          config.grid.node_count)
     head = config.header_lines("seed sweep") + [f"solution_classes={len(classes)}"]
@@ -584,15 +581,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     if flat_spec.background is not None:
         flat_spec = GridSpec(flat_spec.dimension, flat_spec.spacing,
                              flat_spec.bounds, flat_spec.shape, None)
-    bump_values = {
-        "d": config.raw["d"], "shape": config.raw["shape"], "h": config.raw["h"],
-        "side": config.raw["side"], "bbox": config.raw["bbox"],
-        "center": config.raw["center"], "radius": config.raw["radius"],
-        "r_in": config.raw["r_in"], "r_out": config.raw["r_out"],
-        "bell": config.raw["bell"], "neck_length": config.raw["neck_length"],
-        "neck_width": config.raw["neck_width"], "bump_amplitude": amplitude,
-    }
-    curved_spec = _build_grid_spec(bump_values)
+    curved_spec = _build_grid_spec({**config.raw, "bump_amplitude": amplitude})
     curved = build_grid(curved_spec)
     flat = build_grid(flat_spec)
 

@@ -110,8 +110,11 @@ def target_high_mass(spec: ProblemSpec, vol: float | None = None) -> float:
         vol = spec.volume
     if spec.rho_max == spec.rho_min:
         return 0.0
-    v_high = (spec.mass - spec.rho_min * vol) / (spec.rho_max - spec.rho_min)
-    slack = _FEAS_RTOL * vol
+    gap = spec.rho_max - spec.rho_min
+    v_high = (spec.mass - spec.rho_min * vol) / gap
+    # ProblemSpec grants the mass a rounding slack, which a narrow box
+    # magnifies by 1/gap here
+    slack = _FEAS_RTOL * max(vol, max(abs(spec.mass), 1.0) / gap)
     if v_high < -slack or v_high > vol + slack:
         raise ValueError(
             f"mass outside conformal box: high-set volume {v_high:.6g} "
@@ -182,9 +185,6 @@ class LevelSetPartition:
     threshold: float
     fractional_node: int | None = None
 
-    def signature(self) -> tuple:
-        return (tuple(int(i) for i in self.high_nodes), self.fractional_node)
-
     @property
     def low_count(self) -> int:
         return int(self.low_nodes.size)
@@ -221,46 +221,40 @@ def bathtub_rearrange(phi: np.ndarray, grid: Grid,
 
     key = phi * phi
     order = np.lexsort((np.arange(n), -key))
+    ranked = cells[order]
+    # budget left before each ranked node, subtracted left to right so the
+    # rounding is that of a sequential fill (budget - cumsum is not)
+    left = np.subtract.accumulate(np.concatenate(([budget], ranked)))
+    # k = rank of the first node that no longer fits; every node before it
+    # takes the upper bound, and no later node is considered
+    k = int(np.argmin(np.append(left[:-1] >= ranked * (1.0 - 1e-12), False)))
 
     rho = np.full(n, lo)
-    high: list[int] = []
+    rho[order[:k]] = hi
     fractional: int | None = None
-    remaining = budget
-    for idx in order:
-        idx = int(idx)
-        cell = float(cells[idx])
-        if remaining >= cell * (1.0 - 1e-12):
-            rho[idx] = hi
-            high.append(idx)
-            remaining -= cell
-        elif remaining * (hi - lo) > 1e-14 * spec.mass:
-            # skipping this much budget would miss the mass target; the
-            # threshold is mass-relative so huge boxes stay exact too
-            fractional = idx
-            rho[idx] = lo + (hi - lo) * (remaining / cell)
-            remaining = 0.0
-            break
-        else:
-            break
-
-    if fractional is not None:
+    # skipping this much budget would miss the mass target; the threshold
+    # is mass-relative so huge boxes stay exact too
+    if k < n and left[k] * (hi - lo) > 1e-14 * spec.mass:
+        fractional = int(order[k])
+        cell = float(cells[fractional])
+        rho[fractional] = lo + (hi - lo) * (left[k] / cell)
         # pin the mass exactly by recomputing the fractional value
-        others = float(rho @ cells) - rho[fractional] * float(cells[fractional])
-        value = (spec.mass - others) / float(cells[fractional])
+        others = float(rho @ cells) - rho[fractional] * cell
+        value = (spec.mass - others) / cell
         rho[fractional] = min(max(value, lo), hi)
 
     if fractional is not None:
         threshold = float(phi[fractional])
-    elif high:
-        threshold = float(phi[high[-1]])
     else:
-        threshold = float(phi[int(order[0])])
+        # the last upper-bound node, or the top-ranked one if none fits
+        threshold = float(phi[order[max(k - 1, 0)]])
 
-    high_arr = np.array(sorted(high), dtype=np.int64)
-    taken = set(high)
+    high_arr = np.sort(order[:k])
+    low_mask = np.ones(n, dtype=bool)
+    low_mask[order[:k]] = False
     if fractional is not None:
-        taken.add(fractional)
-    low_arr = np.array([i for i in range(n) if i not in taken], dtype=np.int64)
+        low_mask[fractional] = False
+    low_arr = np.flatnonzero(low_mask)
 
     rho.setflags(write=False)
     high_arr.setflags(write=False)
@@ -318,6 +312,12 @@ def _resolve_init(spec: ProblemSpec, init) -> DensityField:
     raise TypeError(f"unsupported initial density: {init!r}")
 
 
+def _same_split(a: LevelSetPartition, b: LevelSetPartition | None) -> bool:
+    """Same high set and fractional node (the low set then follows)."""
+    return b is not None and a.fractional_node == b.fractional_node \
+        and np.array_equal(a.high_nodes, b.high_nodes)
+
+
 def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions(),
              max_alternations: int = 200,
              ) -> tuple[DensityField, EigenPair, LevelSetPartition, OptimizationTrace]:
@@ -338,10 +338,9 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     rho = _resolve_init(spec, init)
 
     trace = OptimizationTrace()
-    sig_prev: tuple | None = None
-    sig_prev2: tuple | None = None
-    low_prev: np.ndarray | None = None
-    mu_prev: float | None = None
+    # the partitions of the last two iterations, newest first
+    prev: LevelSetPartition | None = None
+    prev2: LevelSetPartition | None = None
     warm: np.ndarray | None = None
 
     density = rho
@@ -357,10 +356,10 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
             raise
         warm = pair.vector
         density, partition = bathtub_rearrange(pair.vector, grid, spec)
-        if low_prev is None:
-            set_change = int(partition.low_nodes.size)
+        if prev is None:
+            set_change = partition.low_count
         else:
-            set_change = int(np.setxor1d(partition.low_nodes, low_prev).size)
+            set_change = int(np.setxor1d(partition.low_nodes, prev.low_nodes).size)
         trace.records.append(TraceRecord(
             iteration=it,
             eigenvalue=pair.eigenvalue,
@@ -368,21 +367,19 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
             set_change=set_change,
             residual=pair.residual,
         ))
-        sig = partition.signature()
         if spec.rho_min == spec.rho_max:
             trace.status = CONVERGED
             break
-        if sig_prev is not None and sig == sig_prev and mu_prev is not None \
-                and abs(pair.eigenvalue - mu_prev) <= opts.eig_rel_tol * abs(pair.eigenvalue):
+        repeats = _same_split(partition, prev)
+        # a repeat has a previous record, whose eigenvalue must have settled
+        if repeats and abs(pair.eigenvalue - trace.records[-2].eigenvalue) <= \
+                opts.eig_rel_tol * abs(pair.eigenvalue):
             trace.status = CONVERGED
             break
-        if sig_prev2 is not None and sig == sig_prev2 and sig != sig_prev:
+        if not repeats and _same_split(partition, prev2):
             trace.status = CYCLING
             break
-        sig_prev2 = sig_prev
-        sig_prev = sig
-        low_prev = partition.low_nodes
-        mu_prev = pair.eigenvalue
+        prev2, prev = prev, partition
         rho = density
 
     density.validate(spec, two_valued=True)
@@ -410,35 +407,26 @@ def classify_solutions(seeds, results, node_count: int,
     Two runs share a class when their eigenvalues agree relatively to
     mu_rtol and their low regions differ on at most set_tol of the nodes.
     """
-    classes: list[Solution] = []
+    firsts: list[tuple] = []  # (seed, result) of each class's first member
     members: list[list[int]] = []
     labels: list[int] = []
     max_diff = set_tol * node_count
-    for seed, (density, pair, partition, trace) in zip(seeds, results):
-        assigned = None
-        for k, rep in enumerate(classes):
-            close_mu = abs(pair.eigenvalue - rep.eigenpair.eigenvalue) <= \
-                mu_rtol * max(abs(pair.eigenvalue), abs(rep.eigenpair.eigenvalue))
-            diff = np.setxor1d(partition.low_nodes, rep.partition.low_nodes).size
+    for seed, result in zip(seeds, results):
+        _, pair, partition, _ = result
+        for k, (_, (_, rep_pair, rep_partition, _)) in enumerate(firsts):
+            close_mu = abs(pair.eigenvalue - rep_pair.eigenvalue) <= \
+                mu_rtol * max(abs(pair.eigenvalue), abs(rep_pair.eigenvalue))
+            diff = np.setxor1d(partition.low_nodes, rep_partition.low_nodes).size
             if close_mu and diff <= max_diff:
-                assigned = k
                 break
-        if assigned is None:
-            classes.append(Solution(
-                seed=seed, density=density, eigenpair=pair,
-                partition=partition, trace=trace, member_seeds=(seed,),
-            ))
-            members.append([seed])
-            labels.append(len(classes) - 1)
         else:
-            members[assigned].append(seed)
-            labels.append(assigned)
-    classes = [
-        Solution(seed=c.seed, density=c.density, eigenpair=c.eigenpair,
-                 partition=c.partition, trace=c.trace,
-                 member_seeds=tuple(ms))
-        for c, ms in zip(classes, members)
-    ]
+            k = len(firsts)
+            firsts.append((seed, result))
+            members.append([])
+        members[k].append(seed)
+        labels.append(k)
+    classes = [Solution(seed, *result, member_seeds=tuple(ms))
+               for (seed, result), ms in zip(firsts, members)]
     return classes, labels
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "OracleResult",
     "Polyline",
     "RegularityReport",
+    "check_oracle_input",
     "contour_csv",
     "count_components",
     "enumerate_optimal",
@@ -73,6 +74,17 @@ def _dense_smallest(a_dense: np.ndarray, weights: np.ndarray) -> tuple[float, np
     return float(mu[0]), phi
 
 
+def check_oracle_input(grid: Grid, node_cap: int = ORACLE_NODE_CAP) -> None:
+    """Raise ValueError unless the grid is small enough for the oracle and
+    its node volumes are uniform, so the per-node budget is one cell."""
+    n = grid.node_count
+    if n > node_cap:
+        raise ValueError(f"oracle scale exceeded: {n} nodes > cap {node_cap}")
+    cells = grid.cell_volumes
+    if float(np.max(np.abs(cells - cells[0]))) > 1e-15 * float(cells[0]):
+        raise ValueError("oracle requires uniform node volumes (flat background)")
+
+
 def enumerate_optimal(grid: Grid, spec: ProblemSpec,
                       node_cap: int = ORACLE_NODE_CAP) -> OracleResult:
     """Exhaustive minimum over two-valued-plus-one-fractional densities.
@@ -80,16 +92,12 @@ def enumerate_optimal(grid: Grid, spec: ProblemSpec,
     Places the upper bound on every k-subset of nodes (k from the high-set
     volume budget) and, when the budget does not divide evenly, tries the
     fractional node at every remaining position.  Each candidate is solved
-    densely.  Requires uniform node volumes, so the per-node budget is one
-    cell; the grid must stay at or below the node cap.
+    densely.  The grid must pass ``check_oracle_input`` at the node cap.
     """
+    check_oracle_input(grid, node_cap)
     n = grid.node_count
-    if n > node_cap:
-        raise ValueError(f"oracle scale exceeded: {n} nodes > cap {node_cap}")
     cells = grid.cell_volumes
     cell = float(cells[0])
-    if float(np.max(np.abs(cells - cell))) > 1e-15 * cell:
-        raise ValueError("oracle requires uniform node volumes (flat background)")
 
     budget = target_high_mass(spec, domain_volume(grid))
     ratio = budget / cell
@@ -179,12 +187,17 @@ def sublevel_check(phi: np.ndarray, partition: LevelSetPartition,
     return margin <= tol, margin
 
 
+def _node_mask(nodes: Iterable[int] | np.ndarray, grid: Grid) -> np.ndarray:
+    """Boolean membership mask over the grid nodes of a node index set."""
+    members = np.zeros(grid.node_count, dtype=bool)
+    members[np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes),
+                       dtype=np.int64)] = True
+    return members
+
+
 def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
     """Connected components of a node set under the 2d-neighbor stencil graph."""
-    members = np.zeros(grid.node_count, dtype=bool)
-    members[np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                       dtype=np.int64)] = True
-    return component_count(grid.neighbors, members)
+    return component_count(grid.neighbors, _node_mask(nodes, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +421,7 @@ def radial_deviation(nodes: Iterable[int] | np.ndarray, grid: Grid) -> float:
     shape = grid.spec.shape
     if not isinstance(shape, Disk):
         raise ValueError("radial deviation requires a disk-shaped grid")
-    members = np.zeros(grid.node_count, dtype=bool)
-    idx = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                     dtype=np.int64)
-    if idx.size:
-        members[idx] = True
+    members = _node_mask(nodes, grid)
     radii = np.linalg.norm(grid.coordinates() - np.asarray(shape.center), axis=1)
     bins = np.floor(radii / grid.spacing).astype(np.int64)
     disagreement = 0

@@ -131,6 +131,24 @@ def test_oracle_subcommand_matches(tmp_path):
     assert (out / "ranking.csv").exists()
 
 
+
+@pytest.mark.parametrize("text, match", [
+    # configs/square.cfg: a 63 x 63 grid, far above the default cap of 20
+    (None, "oracle scale exceeded: 3969 nodes > cap 20"),
+    ("shape = square\nside = 4\nh = 1\nlam = 1\nLam = 2\nM = 14\n"
+     "bump_amplitude = 0.3\n", "oracle requires uniform node volumes"),
+])
+def test_oracle_input_errors_exit_1_without_output(tmp_path, capsys, text, match):
+    if text is None:
+        text = (Path(__file__).resolve().parents[1] / "configs" / "square.cfg").read_text()
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
 def test_sweep_rows_and_classes(tmp_path):
     text = ("shape = square\nh = 1/8\nA = 0.6931471805599453\nM = 0.766\n"
             "seeds = 0,1,2,3\n")
