@@ -296,12 +296,16 @@ def neighbor_steps(dimension: int) -> np.ndarray:
 def component_count(neighbors: np.ndarray, members: np.ndarray) -> int:
     """Connected components of the member nodes (a boolean mask over all
     nodes) under the axis-neighbor graph."""
-    src, slot = np.nonzero(neighbors >= 0)
-    dst = neighbors[src, slot]
-    keep = members[src] & members[dst]
+    # one edge per member pair along the + slot of each axis, as CSR rows in
+    # node order; csgraph adds the reverse edges of an undirected graph
+    ahead = neighbors[:, 1::2]
+    edge = (ahead >= 0) & members[:, None]
+    edge[edge] = members[ahead[edge]]
     n = members.shape[0]
-    graph = sp.coo_matrix((np.ones(int(np.count_nonzero(keep))), (src[keep], dst[keep])),
-                          shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
+    indices = ahead[edge].astype(np.int32)
+    graph = sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
     labels = connected_components(graph, directed=False)[1]
     return int(np.unique(labels[members]).size)
 

@@ -327,7 +327,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     start, or None/"uniform" for the constant density.  Stops when the low
     region repeats with a settled eigenvalue (converged), when it matches
     the region from two iterations earlier but not the last one (cycling),
-    or at the iteration cap.  The power iteration is warm-started with the
+    or at the iteration cap.  The eigensolve is warm-started with the
     previous eigenvector, which keeps the recorded eigenvalue sequence
     non-increasing up to solver tolerance.
     """

@@ -253,17 +253,28 @@ def test_run_config_hash_excludes_out_dir():
     assert rc1.config_hash == rc2.config_hash
 
 
+# the symmetric dumbbell under uniform density has a nearly degenerate
+# leading pair (mu1 ~ mu2)
+SYMMETRIC_DUMBBELL = "shape = dumbbell\nh = 1/16\nA = 0.6931471805599453\nM = 1.921875\n"
+
+
 def test_solver_failure_writes_partial_trace(tmp_path):
-    # the symmetric dumbbell under uniform density has a nearly degenerate
-    # leading pair, so the default power-iteration cap is exceeded
-    text = ("shape = dumbbell\nh = 1/16\nA = 0.6931471805599453\nM = 1.921875\n")
-    cfg = _write_cfg(tmp_path, text)
+    cfg = _write_cfg(tmp_path, SYMMETRIC_DUMBBELL + "max_power_iterations = 1\n")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     status = (out / "status.txt").read_text()
     assert "incomplete" in status and "solver failure" in status
     trace = (out / "trace.txt").read_text()
     assert '"status": "aborted"' in trace
+
+
+def test_symmetric_dumbbell_solves_at_default_settings(tmp_path):
+    # single-vector inverse iteration exceeded the default cap of 500 steps
+    # here; the block iteration of the factored path converges at mu1/mu3
+    cfg = _write_cfg(tmp_path, SYMMETRIC_DUMBBELL)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert "status = ok" in (out / "status.txt").read_text().splitlines()
 
 
 def test_disk_with_background_bump_parses_and_checks(tmp_path):
