@@ -29,7 +29,6 @@ from .grid import (
     disk_spec,
     domain_volume,
     dumbbell_spec,
-    grid_csv,
     mirror_permutation,
     square_spec,
 )
@@ -62,7 +61,6 @@ from .verify import (
     OracleResult,
     Polyline,
     RegularityReport,
-    contour_csv,
     count_components,
     enumerate_optimal,
     extract_contour,
@@ -73,3 +71,11 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # lazily: an eager import of cli makes `python -m membrane_opt.cli` run it twice
+    if name in ("contour_csv", "grid_csv"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

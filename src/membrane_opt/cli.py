@@ -38,7 +38,6 @@ from .grid import (
     disk_spec,
     domain_volume,
     dumbbell_spec,
-    grid_csv,
     mirror_permutation,
     square_spec,
 )
@@ -56,8 +55,8 @@ from .optimizer import (
     minimize,
 )
 from .verify import (
+    ContourSet,
     check_oracle_input,
-    contour_csv,
     enumerate_optimal,
     extract_contour,
     regularity_trend,
@@ -68,6 +67,8 @@ __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
 
 SUBCOMMANDS = ("solve", "oracle", "sweep", "check", "plate")
 
+# background bump of the curved run in check on a flat config
+_CHECK_BUMP = 0.3
 _BOOL_KEYS = ("export_fields", "export_trace", "export_contours", "export_images")
 _KNOWN_KEYS = {
     "subcommand", "d", "shape", "h", "side", "bbox", "center", "radius",
@@ -175,6 +176,8 @@ def _build_grid_spec(values: dict) -> GridSpec:
     amplitude = values["bump_amplitude"]
     background = None
     if amplitude != 0.0:
+        if d != 2:
+            raise ConfigError(f"key 'bump_amplitude': needs d = 2, got d = {d}")
         if shape == "square":
             side = values["side"]
             center = np.full(d, side / 2.0)
@@ -318,6 +321,13 @@ def parse_config(text: str, subcommand: str | None = None,
         raise
     except ValueError as exc:
         raise ConfigError(f"grid construction failed: {exc}") from exc
+    if sub == "check":
+        # the conformal-invariance report reruns the problem on a curved copy
+        try:
+            _build_grid_spec({**values,
+                              "bump_amplitude": values["bump_amplitude"] or _CHECK_BUMP})
+        except ConfigError as exc:
+            raise ConfigError(f"check needs a curved background: {exc}") from exc
 
     if has_exponent:
         bound_exponent = _parse_number("A", pairs["A"])
@@ -399,20 +409,46 @@ def _comment_block(lines) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
+def _table(header_lines, names, *columns) -> str:
+    """Comment block, column names, then one comma-separated row per index.
+    On Python ints and floats ``str`` is ``repr`` (shortest round-trip
+    digits), which keeps tables byte-stable; text and None go unquoted."""
+    cells = (map(str, np.asarray(column).tolist()) for column in columns)
+    rows = map(",".join, zip(*cells))
+    return _comment_block(header_lines) + "\n".join([",".join(names), *rows]) + "\n"
+
+
+def _report(header_lines, fields: dict) -> str:
+    """Comment block, then one ``key = value`` line per field (``str``)."""
+    return _comment_block(header_lines) + "".join(f"{k} = {v}\n" for k, v in fields.items())
+
+
 def density_csv(density: DensityField, exponent: int, header_lines) -> str:
     values = density.values
-    u = density.conformal_factor(exponent)
-    out = [_comment_block(header_lines) + "node,rho,u"]
-    for i in range(values.shape[0]):
-        out.append(f"{i},{float(values[i])!r},{float(u[i])!r}")
-    return "\n".join(out) + "\n"
+    return _table(header_lines, ("node", "rho", "u"), np.arange(values.shape[0]),
+                  values, density.conformal_factor(exponent))
 
 
 def eigenfunction_csv(phi: np.ndarray, header_lines) -> str:
-    out = [_comment_block(header_lines) + "node,phi"]
-    for i, v in enumerate(phi):
-        out.append(f"{i},{float(v)!r}")
-    return "\n".join(out) + "\n"
+    return _table(header_lines, ("node", "phi"), np.arange(len(phi)), phi)
+
+
+def grid_csv(grid: Grid, header_lines=()) -> str:
+    """One row per node: integer coords, physical coords, e^(2w)."""
+    axes = range(grid.dimension)
+    names = [f"i{k}" for k in axes] + [f"x{k}" for k in axes] + ["e2w"]
+    return _table(header_lines, names, *grid.nodes.T, *grid.coordinates().T, grid.e2w)
+
+
+def contour_csv(contours: ContourSet, header_lines=()) -> str:
+    """Polylines as CSV rows (curve id, x, y); closed ids in a header comment."""
+    polylines = contours.polylines
+    closed_ids = [k for k, p in enumerate(polylines) if p.closed]
+    head = [*header_lines, f"closed_curves={closed_ids!r}",
+            f"region_components={contours.region_components}"]
+    curve = np.repeat(np.arange(len(polylines)), [len(p.points) for p in polylines])
+    points = np.concatenate([np.empty((0, 2)), *(p.points for p in polylines)])
+    return _table(head, ("curve", "x", "y"), curve, *points.T)
 
 
 def trace_text(trace: OptimizationTrace, header: dict) -> str:
@@ -434,7 +470,7 @@ def partition_text(partition: LevelSetPartition, header_lines) -> str:
         f"low_count={partition.low_count} high_count={partition.high_count}",
         "one low-region node index per line",
     ]
-    body = "\n".join(str(int(i)) for i in partition.low_nodes)
+    body = "\n".join(map(str, partition.low_nodes.tolist()))
     return _comment_block(list(header_lines) + extra) + body + "\n"
 
 
@@ -472,10 +508,9 @@ def _write(path: Path, text: str) -> None:
 
 def _status_file(out: Path, config: RunConfig, ok: bool, detail: str) -> None:
     state = "ok" if ok else "incomplete"
-    _write(out / "status.txt",
-           f"# config={config.config_hash} subcommand={config.subcommand} "
-           f"nodes={config.grid.node_count}\n"
-           f"status = {state}\ndetail = {detail}\n")
+    _write(out / "status.txt", _report(
+        [f"config={config.config_hash} subcommand={config.subcommand} "
+         f"nodes={config.grid.node_count}"], {"status": state, "detail": detail}))
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +566,17 @@ def _run_oracle(config: RunConfig, out: Path) -> int:
     verdict = "MATCH" if rel <= 1e-10 else "MISMATCH"
     ok_sub, margin = sublevel_check(oracle.eigenvector, oracle.partition)
 
-    lines = _comment_block(config.header_lines("oracle cross-check"))
-    lines += (
-        f"candidates = {len(oracle.ranking)}\n"
-        f"oracle_mu = {oracle.eigenvalue!r}\n"
-        f"multi_start_best_mu = {best!r}\n"
-        f"rel_diff = {rel!r}\n"
-        f"verdict = {verdict}\n"
-        f"oracle_sublevel_ok = {ok_sub}\n"
-        f"oracle_sublevel_margin = {margin!r}\n"
-    )
-    _write(out / "oracle_report.txt", lines)
+    _write(out / "oracle_report.txt", _report(config.header_lines("oracle cross-check"), {
+        "candidates": len(oracle.ranking), "oracle_mu": oracle.eigenvalue,
+        "multi_start_best_mu": best, "rel_diff": rel, "verdict": verdict,
+        "oracle_sublevel_ok": ok_sub, "oracle_sublevel_margin": margin}))
 
-    rank_lines = [_comment_block(config.header_lines("oracle ranking"))
-                  + "mu,high_nodes,fractional_node"]
-    for cand in oracle.ranking:
-        high = ";".join(str(i) for i in cand.high_nodes)
-        rank_lines.append(f"{cand.eigenvalue!r},{high},{cand.fractional_node}")
-    _write(out / "ranking.csv", "\n".join(rank_lines) + "\n")
+    ranking = oracle.ranking
+    _write(out / "ranking.csv", _table(
+        config.header_lines("oracle ranking"), ("mu", "high_nodes", "fractional_node"),
+        [c.eigenvalue for c in ranking],
+        [";".join(map(str, c.high_nodes)) for c in ranking],
+        [c.fractional_node for c in ranking]))
     _status_file(out, config, True, f"verdict {verdict}")
     return 0
 
@@ -558,16 +586,14 @@ def _run_sweep(config: RunConfig, out: Path) -> int:
     classes, labels = classify_solutions(config.seeds, results,
                                          config.grid.node_count)
     head = config.header_lines("seed sweep") + [f"solution_classes={len(classes)}"]
-    lines = [_comment_block(head)
-             + "seed,class,status,iterations,mu,threshold,low_count,fractional_node"]
-    for seed, label, (density, pair, partition, trace) in zip(
-            config.seeds, labels, results):
-        lines.append(
-            f"{seed},{label},{trace.status},{len(trace)},{pair.eigenvalue!r},"
-            f"{partition.threshold!r},{partition.low_count},{partition.fractional_node}"
-        )
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
-    bad = any(r[3].status == MAX_ITER for r in results)
+    _, pairs, partitions, traces = zip(*results)
+    _write(out / "sweep.csv", _table(
+        head, ("seed", "class", "status", "iterations", "mu", "threshold",
+               "low_count", "fractional_node"),
+        config.seeds, labels, [t.status for t in traces], [len(t) for t in traces],
+        [p.eigenvalue for p in pairs], [q.threshold for q in partitions],
+        [q.low_count for q in partitions], [q.fractional_node for q in partitions]))
+    bad = any(t.status == MAX_ITER for t in traces)
     _status_file(out, config, not bad, f"{len(classes)} solution classes")
     return 2 if bad else 0
 
@@ -576,7 +602,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     head = config.header_lines
 
     # conformal invariance: bump background against its flat reweighting
-    amplitude = config.raw["bump_amplitude"] or 0.3
+    amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
     flat_spec = config.grid_spec
     if flat_spec.background is not None:
         flat_spec = GridSpec(flat_spec.dimension, flat_spec.spacing,
@@ -616,14 +642,11 @@ def _run_check(config: RunConfig, out: Path) -> int:
     converged_rel = abs(pair.eigenvalue - mu_reweighted) / abs(mu_reweighted)
 
     conformal_ok = bit_identical and uniform_rel <= 1e-12 and converged_rel <= 1e-12
-    _write(out / "check_conformal.txt", _comment_block(
-        head("conformal invariance check") + [f"bump_amplitude={amplitude!r}"]) + (
-        f"stiffness_bit_identical = {bit_identical}\n"
-        f"weight_max_rel_diff = {weight_rel!r}\n"
-        f"mu_uniform_rel_diff = {uniform_rel!r}\n"
-        f"mu_converged_rel_diff = {converged_rel!r}\n"
-        f"verdict = {'PASS' if conformal_ok else 'FAIL'}\n"
-    ))
+    _write(out / "check_conformal.txt", _report(
+        head("conformal invariance check") + [f"bump_amplitude={amplitude!r}"], {
+            "stiffness_bit_identical": bit_identical, "weight_max_rel_diff": weight_rel,
+            "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
+            "verdict": "PASS" if conformal_ok else "FAIL"}))
 
     # regularity: the same composite problem at h, h/2, ...
     levels = [config.grid.spacing / 2**k for k in range(config.check_levels)]
@@ -639,13 +662,11 @@ def _run_check(config: RunConfig, out: Path) -> int:
 
     report = regularity_trend(problem_at, levels, opts=config.solver,
                               max_alternations=config.max_alternations)
-    _write(out / "check_regularity.txt", _comment_block(
-        head("second-difference regularity trend")) + (
-        f"levels = {list(report.levels)!r}\n"
-        f"sups = {list(report.sups)!r}\n"
-        f"ratios = {list(report.ratios)!r}\n"
-        f"verdict = {'PASS' if report.bounded() else 'FAIL'}\n"
-    ))
+    _write(out / "check_regularity.txt", _report(
+        head("second-difference regularity trend"), {
+            "levels": list(report.levels), "sups": list(report.sups),
+            "ratios": list(report.ratios),
+            "verdict": "PASS" if report.bounded() else "FAIL"}))
 
     # symmetry: reflected converged densities give the same eigenvalue
     symmetric_axes = []
@@ -655,7 +676,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
             symmetric_axes.append(axis)
         except ValueError:
             pass
-    lines = [f"symmetric_axes = {symmetric_axes!r}"]
+    fields = {"symmetric_axes": symmetric_axes}
     equivariant = True
     if symmetric_axes:
         density, pair, _, _ = minimize(config.problem, opts=config.solver,
@@ -670,11 +691,10 @@ def _run_check(config: RunConfig, out: Path) -> int:
                 stiffness, assemble_weight(config.grid, reflected),
                 config.solver).eigenvalue
             rel = abs(mu_ref - pair.eigenvalue) / abs(pair.eigenvalue)
-            lines.append(f"axis_{axis}_reflected_mu_rel_diff = {rel!r}")
+            fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel
             equivariant = equivariant and rel <= 1e-10
-    lines.append(f"verdict = {'PASS' if equivariant else 'FAIL'}")
-    _write(out / "check_symmetry.txt",
-           _comment_block(head("mirror symmetry check")) + "\n".join(lines) + "\n")
+    fields["verdict"] = "PASS" if equivariant else "FAIL"
+    _write(out / "check_symmetry.txt", _report(head("mirror symmetry check"), fields))
 
     _status_file(out, config, True, "checks written")
     return 0

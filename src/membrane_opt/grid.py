@@ -13,6 +13,7 @@ Each node optionally carries a background weight ``e^(2w)`` evaluated
 from a user-supplied exponent field ``w``; the measure of a node is then
 ``e^(2w) * h^d``.  Away from two dimensions the background must be flat
 (``w = 0``): the second-order stiffness stencil is weight-free only in 2D.
+The node table artifact is written by ``cli.grid_csv``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "disk_spec",
     "domain_volume",
     "dumbbell_spec",
-    "grid_csv",
     "mirror_permutation",
     "square_spec",
 ]
@@ -399,16 +399,3 @@ def mirror_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
         )
     return perm
 
-
-def grid_csv(grid: Grid, header_lines: Sequence[str] = ()) -> str:
-    """One row per node: integer coords, physical coords, e^(2w)."""
-    d = grid.dimension
-    lines = [f"# {text}" for text in header_lines]
-    cols = [f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["e2w"]
-    lines.append(",".join(cols))
-    coords = grid.coordinates()
-    for i in range(grid.node_count):
-        ints = ",".join(str(int(v)) for v in grid.nodes[i])
-        phys = ",".join(repr(float(v)) for v in coords[i])
-        lines.append(f"{ints},{phys},{float(grid.e2w[i])!r}")
-    return "\n".join(lines) + "\n"

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the production solve path: the
 enumeration oracle uses a dense LAPACK generalized eigensolve, the contour
-extractor works from raw nodal values, and the connectivity and regularity
-checks are plain graph and difference computations.
+extractor runs marching squares over all lattice cells at once from raw
+nodal values, and the connectivity and regularity checks are plain graph
+and difference computations.  Nothing here formats artifacts; the contour
+table (``contours.csv``) is written by ``cli.contour_csv``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "Polyline",
     "RegularityReport",
     "check_oracle_input",
-    "contour_csv",
     "count_components",
     "enumerate_optimal",
     "extract_contour",
@@ -222,8 +223,13 @@ class ContourSet:
         return sum(1 for p in self.polylines if p.closed)
 
 
-def _key(u: float, v: float) -> tuple[float, float]:
-    return (round(u, 9), round(v, 9))
+# Corner k of lattice cell (i, j) is (i, j) + _CORNERS[k]; edge k runs from
+# corner k to corner k + 1 (mod 4), along _STEPS[k].
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_STEPS = np.roll(_CORNERS, -1, axis=0) - _CORNERS
+# the two edge pairs a saddle cell joins, by whether the cell average lies
+# on corner 0's side of the level
+_SADDLE_JOINS = np.array([[(0, 1), (2, 3)], [(0, 3), (1, 2)]])
 
 
 def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
@@ -231,8 +237,9 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
 
     Only cells whose four corners are all interior nodes contribute, with
     linear interpolation along edges; nodes with phi <= level count as the
-    inside.  Segments are chained into polylines; a polyline is closed when
-    it returns to its start.  Points are physical coordinates.
+    inside.  A saddle cell joins its crossings by the side of the cell
+    average.  Segments are chained into polylines; a polyline is closed
+    when it returns to its start.  Points are physical coordinates.
     """
     if grid.dimension != 2:
         raise ValueError("contour extraction requires a two-dimensional grid")
@@ -241,47 +248,38 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
     field = np.full((n0 + 1, n1 + 1), np.nan)
     field[grid.nodes[:, 0], grid.nodes[:, 1]] = phi
 
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    # corner values of every cell, cells in (i, j) order
+    corners = np.stack([field[a:a + n0, b:b + n1] for a, b in _CORNERS], -1).reshape(-1, 4)
+    inside = corners <= level
+    count = np.count_nonzero(inside, axis=1)
+    cells = np.flatnonzero(~np.isnan(corners).any(axis=1) & (count > 0) & (count < 4))
+    f, inside = corners[cells], inside[cells]
+    crosses = inside != np.roll(inside, -1, axis=1)
 
-    def interp(pa, fa, pb, fb):
-        t = (level - fa) / (fb - fa)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    # each cell crosses on two edges, joined in edge order, or on all four
+    first = np.argmax(crosses, axis=1)
+    last = 3 - np.argmax(crosses[:, ::-1], axis=1)
+    saddle = crosses.all(axis=1)
+    centre = (((f[:, 0] + f[:, 1]) + f[:, 2]) + f[:, 3]) / 4.0
+    side = ((centre <= level) == inside[:, 0]).astype(np.intp)
+    joins = np.where(saddle[:, None, None], _SADDLE_JOINS[side],
+                     np.stack([first, last], axis=1)[:, None, :])
+    keep = np.stack([np.ones_like(saddle), saddle], axis=1)
+    owner = np.broadcast_to(np.arange(cells.size)[:, None], keep.shape)[keep]
+    edge = joins[keep]
 
-    for i in range(n0):
-        for j in range(n1):
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            values = [field[c] for c in corners]
-            if any(np.isnan(v) for v in values):
-                continue
-            inside = [v <= level for v in values]
-            if all(inside) or not any(inside):
-                continue
-            crossings = []
-            for a in range(4):
-                b = (a + 1) % 4
-                if inside[a] != inside[b]:
-                    crossings.append(
-                        (a, interp(corners[a], values[a], corners[b], values[b]))
-                    )
-            if len(crossings) == 2:
-                segments.append((crossings[0][1], crossings[1][1]))
-            elif len(crossings) == 4:
-                # saddle: connect by the cell-average side
-                center_inside = (sum(values) / 4.0) <= level
-                first_inside = inside[0]
-                if center_inside == first_inside:
-                    pairs = ((0, 3), (1, 2))
-                else:
-                    pairs = ((0, 1), (2, 3))
-                for a, b in pairs:
-                    segments.append((crossings[a][1], crossings[b][1]))
+    fa = f[owner[:, None], edge]
+    fb = f[owner[:, None], (edge + 1) % 4]
+    t = (level - fa) / (fb - fa)
+    cell_ij = np.stack(np.unravel_index(cells[owner], (n0, n1)), axis=-1)
+    points = (cell_ij[:, None, :] + _CORNERS[edge]) + t[..., None] * _STEPS[edge]
 
-    polylines = _chain_segments(segments)
     origin = np.asarray(grid.origin)
-    h = grid.spacing
     out = []
-    for points, closed in polylines:
-        arr = origin + np.asarray(points) * h
+    # np.round is round() on a numpy float; round() on a Python float
+    # rounds differently in the last bit now and then
+    for path, closed in _chain_segments(np.round(points, 9).tolist()):
+        arr = origin + np.asarray(path) * grid.spacing
         arr.setflags(write=False)
         out.append(Polyline(points=arr, closed=closed))
 
@@ -293,9 +291,12 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
 
 
 def _chain_segments(segments) -> list[tuple[list[tuple[float, float]], bool]]:
+    """Chain segments, pairs of points rounded to 9 decimals, into polylines.
+    Rounding joins neighbouring cells, which compute a shared crossing from
+    opposite ends of its edge."""
     links: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for a, b in segments:
-        ka, kb = _key(*a), _key(*b)
+        ka, kb = tuple(a), tuple(b)
         if ka == kb:
             continue
         links.setdefault(ka, []).append(kb)
@@ -332,24 +333,8 @@ def _chain_segments(segments) -> list[tuple[list[tuple[float, float]], bool]]:
             continue
         path = walk(start)
         if len(path) >= 2:
-            closed = path[0] == path[-1] or _key(*path[0]) == _key(*path[-1])
-            if closed and path[0] != path[-1]:
-                path.append(path[0])
-            polylines.append((path, closed))
+            polylines.append((path, path[0] == path[-1]))
     return polylines
-
-
-def contour_csv(contours: ContourSet, header_lines: Sequence[str] = ()) -> str:
-    """Polylines as CSV rows (curve id, x, y); closed ids in a header comment."""
-    closed_ids = [k for k, p in enumerate(contours.polylines) if p.closed]
-    lines = [f"# {text}" for text in header_lines]
-    lines.append(f"# closed_curves={closed_ids!r}")
-    lines.append(f"# region_components={contours.region_components}")
-    lines.append("curve,x,y")
-    for k, poly in enumerate(contours.polylines):
-        for x, y in poly.points:
-            lines.append(f"{k},{float(x)!r},{float(y)!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

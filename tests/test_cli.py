@@ -1,11 +1,22 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import membrane_opt as mo
-from membrane_opt.cli import ConfigError, main, parse_config, run
+from membrane_opt.cli import (
+    ConfigError,
+    density_csv,
+    eigenfunction_csv,
+    main,
+    parse_config,
+    run,
+)
 
 MINIMAL = """
 shape = square
@@ -128,7 +139,10 @@ def test_oracle_subcommand_matches(tmp_path):
     report = (out / "oracle_report.txt").read_text()
     assert "verdict = MATCH" in report
     assert "oracle_sublevel_ok = True" in report
-    assert (out / "ranking.csv").exists()
+    rows = [line for line in (out / "ranking.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "mu,high_nodes,fractional_node"
+    assert all(re.fullmatch(r"[-.e\d]+,\d+(;\d+)*,(\d+|None)", row) for row in rows[1:])
 
 
 
@@ -149,6 +163,35 @@ def test_oracle_input_errors_exit_1_without_output(tmp_path, capsys, text, match
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("text, match", [
+    ("shape = dumbbell\nh = 1/16\nA = 0.69\nM = 1.5\n", "not supported on dumbbell"),
+    ("shape = annulus\nr_in = 0.5\nr_out = 1\nh = 1/8\nA = 0.69\nM = 2\n",
+     "not supported on annulus"),
+    ("shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n", "needs d = 2, got d = 3"),
+])
+def test_check_input_errors_exit_1_without_output(tmp_path, capsys, text, match):
+    # the conformal report of check needs a curved copy of the grid
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_module_entry_point_prints_one_error_line(tmp_path):
+    # `python -m membrane_opt.cli` must not import the module a second time
+    cfg = _write_cfg(tmp_path, SYMMETRIC_DUMBBELL)
+    env = {**os.environ, "PYTHONPATH": str(Path(mo.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "membrane_opt.cli", "check", "--config", cfg],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_sweep_rows_and_classes(tmp_path):
     text = ("shape = square\nh = 1/8\nA = 0.6931471805599453\nM = 0.766\n"
             "seeds = 0,1,2,3\n")
@@ -157,8 +200,9 @@ def test_sweep_rows_and_classes(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     rows = [line for line in lines if not line.startswith("#")]
-    assert rows[0].startswith("seed,class,")
+    assert rows[0].startswith("seed,class,status,")
     assert len(rows) == 1 + 4
+    assert all(row.split(",")[2] in ("converged", "cycling") for row in rows[1:])
     assert any(line.startswith("# solution_classes=") for line in lines)
 
 
@@ -286,3 +330,63 @@ def test_disk_with_background_bump_parses_and_checks(tmp_path):
     cfg = _write_cfg(tmp_path, text)
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
     assert "verdict = PASS" in (out / "check_conformal.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# artifact writers against per-row f-string references
+
+HEADER = ["membrane-opt probe", "config=0123456789abcdef subcommand=solve"]
+
+
+def _ref_table(header, names, rows):
+    return "".join(f"# {line}\n" for line in header) + "\n".join([names, *rows]) + "\n"
+
+
+def _bump(point):
+    return 0.3 * math.exp(-float(np.sum((np.asarray(point) - 0.5) ** 2)))
+
+
+@pytest.mark.parametrize("spec", [
+    mo.square_spec(1.0 / 6, background=_bump),
+    mo.disk_spec(1.0 / 5, center=(0.1, -0.3), background=_bump),
+    mo.square_spec(1.0 / 4, dimension=4),
+], ids=["curved-square", "curved-disk", "4d"])
+def test_node_tables_match_row_references(spec):
+    g = mo.build_grid(spec)
+    rng = np.random.default_rng(g.node_count)
+    rho = rng.uniform(0.25, 4.0, g.node_count)
+    phi = rng.standard_normal(g.node_count)
+    density = mo.DensityField(grid=g, values=rho)
+    u = density.conformal_factor(4)
+    coords = g.coordinates()
+    d = g.dimension
+
+    assert density_csv(density, 4, HEADER) == _ref_table(
+        HEADER, "node,rho,u",
+        [f"{i},{float(rho[i])!r},{float(u[i])!r}" for i in range(g.node_count)])
+    assert eigenfunction_csv(phi, HEADER) == _ref_table(
+        HEADER, "node,phi", [f"{i},{float(v)!r}" for i, v in enumerate(phi)])
+    names = ",".join([f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["e2w"])
+    rows = [",".join([*(str(int(v)) for v in g.nodes[i]),
+                      *(repr(float(v)) for v in coords[i]), repr(float(g.e2w[i]))])
+            for i in range(g.node_count)]
+    assert mo.grid_csv(g, HEADER) == _ref_table(HEADER, names, rows)
+
+
+def _polyline(points, closed):
+    points = np.asarray(points, dtype=float)
+    points.setflags(write=False)
+    return mo.Polyline(points=points, closed=closed)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_contour_table_matches_row_reference(count):
+    rng = np.random.default_rng(count)
+    polylines = tuple(_polyline(rng.standard_normal((k + 2, 2)) / 7.0, k % 2 == 0)
+                      for k in range(count))
+    contours = mo.ContourSet(polylines=polylines, region_components=count + 1)
+    closed = [k for k, p in enumerate(polylines) if p.closed]
+    header = HEADER + [f"closed_curves={closed!r}", f"region_components={count + 1}"]
+    rows = [f"{k},{float(x)!r},{float(y)!r}"
+            for k, p in enumerate(polylines) for x, y in p.points]
+    assert mo.contour_csv(contours, HEADER) == _ref_table(header, "curve,x,y", rows)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import membrane_opt as mo
-from membrane_opt.verify import pure_difference_sup
+from membrane_opt.verify import _chain_segments, pure_difference_sup
 
 
 def _grid_n(n):
@@ -167,6 +169,83 @@ def test_contour_requires_2d():
     g = mo.build_grid(mo.square_spec(0.25, dimension=3))
     with pytest.raises(ValueError, match="two-dimensional"):
         mo.extract_contour(np.ones(g.node_count), 0.5, g)
+
+
+def _cell_loop_contour(phi, level, grid):
+    """Marching squares one lattice cell at a time, keyed by rounding each
+    crossing with ``round``; the reference for the array implementation."""
+    n0, n1 = grid.lattice_cells
+    field = np.full((n0 + 1, n1 + 1), np.nan)
+    field[grid.nodes[:, 0], grid.nodes[:, 1]] = phi
+
+    def interp(pa, fa, pb, fb):
+        t = (level - fa) / (fb - fa)
+        return (round(pa[0] + t * (pb[0] - pa[0]), 9), round(pa[1] + t * (pb[1] - pa[1]), 9))
+
+    segments = []
+    for i in range(n0):
+        for j in range(n1):
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            values = [field[c] for c in corners]
+            if any(np.isnan(v) for v in values):
+                continue
+            inside = [v <= level for v in values]
+            if all(inside) or not any(inside):
+                continue
+            crossings = [interp(corners[a], values[a], corners[b], values[b])
+                         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)) if inside[a] != inside[b]]
+            if len(crossings) == 2:
+                segments.append(tuple(crossings))
+            elif (sum(values) / 4.0 <= level) == inside[0]:
+                segments += [(crossings[0], crossings[3]), (crossings[1], crossings[2])]
+            else:
+                segments += [(crossings[0], crossings[1]), (crossings[2], crossings[3])]
+    origin = np.asarray(grid.origin)
+    return [(origin + np.asarray(path) * grid.spacing, closed)
+            for path, closed in _chain_segments(segments)]
+
+
+@st.composite
+def _contour_cases(draw):
+    """A masked lattice, a field of coarse values (saddles, corners at the
+    level) or arbitrary ones, and a level that is often a node value."""
+    n0, n1 = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    inner = (n0 - 1) * (n1 - 1)
+    keep = draw(st.lists(st.sampled_from([True, True, True, False]),
+                         min_size=inner, max_size=inner).filter(any))
+    n = sum(keep)
+    value = st.one_of(st.integers(-2, 2).map(lambda k: k / 4.0),
+                      st.floats(-1.0, 1.0, allow_nan=False))
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    level = draw(st.one_of(st.sampled_from(values), st.floats(-1.0, 1.0)))
+    return n0, n1, keep, values, level
+
+
+# one full cell (1, 1) in checkerboard: a saddle joined both ways
+@example((3, 3, [True] * 4, [0.0, 1.0, 1.0, 0.0], 0.5))
+@example((3, 3, [True] * 4, [0.0, 1.0, 1.0, 0.0], 0.375))
+@given(_contour_cases())
+@settings(max_examples=300, deadline=None)
+def test_array_contour_matches_cell_loop(case):
+    n0, n1, keep, values, level = case
+    h = 0.25
+    members = {divmod(k, n1 - 1) for k, kept in enumerate(keep) if kept}
+
+    def predicate(point):
+        i, j = round((point[0] + 0.5) / h), round((point[1] - 0.25) / h)
+        return (i - 1, j - 1) in members
+
+    bounds = ((-0.5, -0.5 + n0 * h), (0.25, 0.25 + n1 * h))
+    g = mo.build_grid(mo.GridSpec(2, h, bounds, mo.Mask(predicate)))
+    assert g.node_count == len(values)
+    phi = np.array(values)
+    got = mo.extract_contour(phi, level, g).polylines
+    want = _cell_loop_contour(phi, level, g)
+    assert len(got) == len(want)
+    for poly, (points, closed) in zip(got, want):
+        assert poly.closed == closed
+        assert poly.points.shape == points.shape
+        assert poly.points.tobytes() == points.tobytes()
 
 
 def test_contour_csv_format():
