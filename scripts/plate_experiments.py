@@ -21,7 +21,7 @@ def self_convergence() -> None:
     settings = {8: (1e-12, 1e-10), 16: (1e-12, 2e-10), 32: (3e-11, 1e-8)}
     for k, (cg, eig) in settings.items():
         grid = mo.build_grid(mo.square_spec(1.0 / k))
-        stiffness = mo.assemble_stiffness(grid, mo.OperatorSpec(order=4))
+        stiffness = mo.assemble_stiffness(grid, order=4)
         pair = mo.first_eigenpair(
             stiffness, np.ones(grid.node_count),
             mo.SolverOptions(cg_rel_tol=cg, eig_rel_tol=eig, max_iterations=4000))

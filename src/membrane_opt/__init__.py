@@ -33,12 +33,10 @@ from .grid import (
     square_spec,
 )
 from .operators import (
-    OperatorSpec,
     StiffnessMatrix,
     WeightVector,
     assemble_stiffness,
     assemble_weight,
-    coordinate_text,
 )
 from .optimizer import (
     DensityField,
@@ -72,10 +70,3 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # lazily: an eager import of cli makes `python -m membrane_opt.cli` run it twice
-    if name in ("contour_csv", "grid_csv"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

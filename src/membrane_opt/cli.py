@@ -41,7 +41,7 @@ from .grid import (
     mirror_permutation,
     square_spec,
 )
-from .operators import OperatorSpec, assemble_stiffness, assemble_weight
+from .operators import assemble_stiffness, assemble_weight
 from .optimizer import (
     CONVERGED,
     CYCLING,
@@ -363,6 +363,8 @@ def parse_config(text: str, subcommand: str | None = None,
     seeds = _parse_ints("seeds", seeds_text)
     if not seeds:
         raise ConfigError("key 'seeds': need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"key 'seeds': seeds must be >= 0, got {min(seeds)}")
     out_dir = out_override or pairs.get("out", "out")
 
     exports = {key: _parse_bool(key, pairs.get(key, "true")) for key in _BOOL_KEYS}
@@ -559,7 +561,7 @@ def _seed_runs(config: RunConfig) -> list:
 
 
 def _run_oracle(config: RunConfig, out: Path) -> int:
-    oracle = enumerate_optimal(config.grid, config.problem, node_cap=config.oracle_cap)
+    oracle = enumerate_optimal(config.problem, node_cap=config.oracle_cap)
     results = _seed_runs(config)
     best = min(r[1].eigenvalue for r in results)
     rel = abs(best - oracle.eigenvalue) / abs(oracle.eigenvalue)
@@ -611,19 +613,19 @@ def _run_check(config: RunConfig, out: Path) -> int:
     curved = build_grid(curved_spec)
     flat = build_grid(flat_spec)
 
-    a_curved = assemble_stiffness(curved, OperatorSpec(order=2))
-    a_flat = assemble_stiffness(flat, OperatorSpec(order=2))
-    bit_identical = (
-        np.array_equal(a_curved.matrix.indptr, a_flat.matrix.indptr)
-        and np.array_equal(a_curved.matrix.indices, a_flat.matrix.indices)
-        and np.array_equal(a_curved.matrix.data, a_flat.matrix.data)
-    )
-
     fraction = config.problem.mass / domain_volume(flat)
     curved_problem = ProblemSpec(
         grid=curved, rho_min=config.problem.rho_min, rho_max=config.problem.rho_max,
         mass=fraction * domain_volume(curved), order=2,
         exponent=config.problem.exponent)
+
+    a_curved = curved_problem.stiffness
+    a_flat = assemble_stiffness(flat, order=2)
+    bit_identical = (
+        np.array_equal(a_curved.matrix.indptr, a_flat.matrix.indptr)
+        and np.array_equal(a_curved.matrix.indices, a_flat.matrix.indices)
+        and np.array_equal(a_curved.matrix.data, a_flat.matrix.data)
+    )
 
     rho_uniform = np.full(curved.node_count, fraction)
     w_curved = assemble_weight(curved, rho_uniform)
@@ -681,14 +683,12 @@ def _run_check(config: RunConfig, out: Path) -> int:
     if symmetric_axes:
         density, pair, _, _ = minimize(config.problem, opts=config.solver,
                                        max_alternations=config.max_alternations)
-        stiffness = assemble_stiffness(config.grid,
-                                       OperatorSpec(order=config.problem.order))
         for axis in symmetric_axes:
             perm = mirror_permutation(config.grid, axis)
             reflected = np.empty_like(density.values)
             reflected[perm] = density.values
             mu_ref = first_eigenpair(
-                stiffness, assemble_weight(config.grid, reflected),
+                config.problem.stiffness, assemble_weight(config.grid, reflected),
                 config.solver).eigenvalue
             rel = abs(mu_ref - pair.eigenvalue) / abs(pair.eigenvalue)
             fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel

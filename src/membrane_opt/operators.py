@@ -29,12 +29,10 @@ from .grid import Grid, neighbor_steps
 
 __all__ = [
     "FACTOR_MAX_NODES",
-    "OperatorSpec",
     "StiffnessMatrix",
     "WeightVector",
     "assemble_stiffness",
     "assemble_weight",
-    "coordinate_text",
 ]
 
 # diagonal weight of the generalized eigenproblem, sigma_i = rho_i e^(2w_i)
@@ -42,17 +40,6 @@ WeightVector = np.ndarray
 
 # largest 2D grid whose stiffness is factored; see StiffnessMatrix.factored
 FACTOR_MAX_NODES = 16384
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Stencil order: 2 (Dirichlet Laplacian) or 4 (clamped bilaplacian)."""
-
-    order: int = 2
-
-    def __post_init__(self) -> None:
-        if self.order not in (2, 4):
-            raise ValueError(f"operator order must be 2 or 4, got {self.order}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,18 +147,21 @@ def _bilaplacian(grid: Grid) -> sp.csr_matrix:
     return out
 
 
-def assemble_stiffness(grid: Grid, spec: OperatorSpec = OperatorSpec()) -> StiffnessMatrix:
-    """Assemble the order-2 or order-4 stencil matrix for a grid."""
-    if spec.order == 4 and not grid.flat:
+def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
+    """Assemble the stencil matrix of a grid: order 2 (Dirichlet Laplacian)
+    or 4 (clamped bilaplacian)."""
+    if order not in (2, 4):
+        raise ValueError(f"operator order must be 2 or 4, got {order}")
+    if order == 4 and not grid.flat:
         raise ValueError("flat background required for GJMS case (order 4 needs w = 0)")
-    if spec.order == 2:
+    if order == 2:
         mat = _laplacian_interior(grid)
     else:
         mat = _bilaplacian(grid)
-    mat = mat * grid.spacing ** float(-spec.order)
+    mat = mat * grid.spacing ** float(-order)
     mat.sort_indices()
     mat.data.setflags(write=False)
-    return StiffnessMatrix(matrix=mat, order=spec.order, spacing=grid.spacing,
+    return StiffnessMatrix(matrix=mat, order=order, spacing=grid.spacing,
                            dimension=grid.dimension)
 
 
@@ -186,13 +176,3 @@ def assemble_weight(grid: Grid, rho) -> WeightVector:
         raise ValueError("density must be strictly positive at every node")
     return values * grid.e2w
 
-
-def coordinate_text(stiffness: StiffnessMatrix) -> str:
-    """Matrix in coordinate form, one `row col value` line, row-major."""
-    coo = stiffness.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{int(coo.row[k])} {int(coo.col[k])} {float(coo.data[k])!r}"
-        for k in order
-    ]
-    return "\n".join(lines) + "\n"

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .eigen import EigenPair, SolverError, SolverOptions, first_eigenpair
 from .grid import Grid, domain_volume
-from .operators import OperatorSpec, assemble_stiffness, assemble_weight
+from .operators import StiffnessMatrix, assemble_stiffness, assemble_weight
 
 __all__ = [
     "DensityField",
@@ -54,7 +55,12 @@ def conformal_bounds(bound_exponent: float, exponent: int = 2) -> tuple[float, f
         raise ValueError(f"bound exponent must be >= 0, got {bound_exponent}")
     if exponent < 2:
         raise ValueError(f"exponent must be an integer >= 2, got {exponent}")
-    return math.exp(-exponent * bound_exponent), math.exp(exponent * bound_exponent)
+    try:
+        scale = exponent * bound_exponent
+        return math.exp(-scale), math.exp(scale)
+    except OverflowError as exc:
+        raise ValueError("density box (e^(-nA), e^(nA)) overflows a float: "
+                         "n A is too large") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +68,10 @@ class ProblemSpec:
     """Grid, density box, prescribed mass, and operator order.
 
     ``exponent`` is the n in rho = e^(n u); it only enters the recovery of
-    the conformal factor u = log(rho) / n and the derived bounds.
+    the conformal factor u = log(rho) / n and the derived bounds.  The
+    operator depends only on the grid and the order, never on the density,
+    so the problem owns it: ``stiffness`` is assembled on first use, and
+    every solve of the problem shares it and its cached factor.
     """
 
     grid: Grid
@@ -98,6 +107,11 @@ class ProblemSpec:
     @property
     def volume(self) -> float:
         return domain_volume(self.grid)
+
+    @cached_property
+    def stiffness(self) -> StiffnessMatrix:
+        """Order-``order`` stiffness of ``grid``, assembled once."""
+        return assemble_stiffness(self.grid, self.order)
 
 
 def target_high_mass(spec: ProblemSpec, vol: float | None = None) -> float:
@@ -334,7 +348,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     if max_alternations < 1:
         raise ValueError("iteration cap must be >= 1")
     grid = spec.grid
-    stiffness = assemble_stiffness(grid, OperatorSpec(order=spec.order))
+    stiffness = spec.stiffness
     rho = _resolve_init(spec, init)
 
     trace = OptimizationTrace()

@@ -26,7 +26,6 @@ from .optimizer import (
     minimize,
     target_high_mass,
 )
-from .operators import OperatorSpec, assemble_stiffness
 
 __all__ = [
     "ContourSet",
@@ -86,7 +85,7 @@ def check_oracle_input(grid: Grid, node_cap: int = ORACLE_NODE_CAP) -> None:
         raise ValueError("oracle requires uniform node volumes (flat background)")
 
 
-def enumerate_optimal(grid: Grid, spec: ProblemSpec,
+def enumerate_optimal(spec: ProblemSpec,
                       node_cap: int = ORACLE_NODE_CAP) -> OracleResult:
     """Exhaustive minimum over two-valued-plus-one-fractional densities.
 
@@ -95,6 +94,7 @@ def enumerate_optimal(grid: Grid, spec: ProblemSpec,
     fractional node at every remaining position.  Each candidate is solved
     densely.  The grid must pass ``check_oracle_input`` at the node cap.
     """
+    grid = spec.grid
     check_oracle_input(grid, node_cap)
     n = grid.node_count
     cells = grid.cell_volumes
@@ -112,7 +112,7 @@ def enumerate_optimal(grid: Grid, spec: ProblemSpec,
     lo, hi = spec.rho_min, spec.rho_max
     frac_value = lo + (hi - lo) * theta
 
-    a_dense = assemble_stiffness(grid, OperatorSpec(order=spec.order)).to_dense()
+    a_dense = spec.stiffness.to_dense()
     e2w = grid.e2w
 
     ranking: list[tuple[float, tuple[int, ...], int, np.ndarray]] = []

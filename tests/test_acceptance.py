@@ -74,7 +74,7 @@ def oracle_runs():
     for side, mass in ((3.0, 5.0), (3.0, 5.5), (4.0, 12.0), (4.0, 12.5)):
         grid = mo.build_grid(mo.square_spec(1.0, side=side))
         spec = mo.ProblemSpec(grid=grid, rho_min=1.0, rho_max=2.0, mass=mass)
-        oracle = mo.enumerate_optimal(grid, spec)
+        oracle = mo.enumerate_optimal(spec)
         runs = [mo.minimize(spec, init=seed, opts=opts) for seed in range(8)]
         out.append((spec, oracle, runs))
     return out, time.time() - start
@@ -107,14 +107,14 @@ def plate_runs(tmp_path_factory):
                     (32, mo.SolverOptions(cg_rel_tol=3e-11, eig_rel_tol=1e-8,
                                           max_iterations=4000))):
         g = mo.build_grid(mo.square_spec(1.0 / k))
-        a = mo.assemble_stiffness(g, mo.OperatorSpec(order=4))
+        a = mo.assemble_stiffness(g, order=4)
         mus[k] = mo.first_eigenpair(a, np.ones(g.node_count), opts).eigenvalue
     out["mus"] = mus
 
     # dense direct oracle on the h = 1/16 grid
     import scipy.linalg
     g16 = mo.build_grid(mo.square_spec(1.0 / 16))
-    a16 = mo.assemble_stiffness(g16, mo.OperatorSpec(order=4))
+    a16 = mo.assemble_stiffness(g16, order=4)
     out["dense_mu"] = float(scipy.linalg.eigh(
         a16.to_dense(), np.diag(np.ones(g16.node_count)),
         subset_by_index=[0, 0])[0][0])

@@ -11,8 +11,10 @@ import pytest
 import membrane_opt as mo
 from membrane_opt.cli import (
     ConfigError,
+    contour_csv,
     density_csv,
     eigenfunction_csv,
+    grid_csv,
     main,
     parse_config,
     run,
@@ -65,6 +67,8 @@ def test_infeasible_mass_names_constraint():
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 3\n", "key 'p'"),
     ("shape = rhombus\nh = 1/8\nA = 0.5\nM = 0.7\n", "shape"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 4\nsubcommand = sweep\n", "order 4"),
+    ("shape = square\nh = 1/8\nA = 400\nM = 0.7\n", "key 'A': density box"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nseeds = 3,-1\n", "key 'seeds': .* >= 0"),
 ])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -370,7 +374,7 @@ def test_node_tables_match_row_references(spec):
     rows = [",".join([*(str(int(v)) for v in g.nodes[i]),
                       *(repr(float(v)) for v in coords[i]), repr(float(g.e2w[i]))])
             for i in range(g.node_count)]
-    assert mo.grid_csv(g, HEADER) == _ref_table(HEADER, names, rows)
+    assert grid_csv(g, HEADER) == _ref_table(HEADER, names, rows)
 
 
 def _polyline(points, closed):
@@ -389,4 +393,4 @@ def test_contour_table_matches_row_reference(count):
     header = HEADER + [f"closed_curves={closed!r}", f"region_components={count + 1}"]
     rows = [f"{k},{float(x)!r},{float(y)!r}"
             for k, p in enumerate(polylines) for x, y in p.points]
-    assert mo.contour_csv(contours, HEADER) == _ref_table(header, "curve,x,y", rows)
+    assert contour_csv(contours, HEADER) == _ref_table(header, "curve,x,y", rows)

@@ -221,20 +221,19 @@ def test_cg_warm_start_does_not_stall_inverse_iteration():
 
 def test_factored_cg_and_dense_agree_on_plate():
     g = mo.build_grid(mo.square_spec(_MASK_H))
-    a = mo.assemble_stiffness(g, mo.OperatorSpec(order=4))
+    a = mo.assemble_stiffness(g, order=4)
     w = np.linspace(0.5, 2.0, g.node_count)
     _assert_backends_agree(a, w, mo.SolverOptions(cg_rel_tol=1e-12))
 
 
 def test_backend_rule_factors_small_2d_grids_only():
     dumbbell = mo.assemble_stiffness(mo.build_grid(mo.dumbbell_spec(1.0 / 32)))
-    plate = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 64)),
-                                  mo.OperatorSpec(order=4))
+    plate = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 64)), order=4)
     assert dumbbell.factor is not None and plate.factor is not None
 
     # the rule is read without building these factors
     config = parse_config(_CONFIGS.joinpath("plate_4d.cfg").read_text(), subcommand="plate")
-    plate_4d = mo.assemble_stiffness(config.grid, mo.OperatorSpec(order=config.problem.order))
+    plate_4d = config.problem.stiffness
     assert plate_4d.order == 4 and plate_4d.dimension == 4 and not plate_4d.factored
     big = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 130)))
     assert big.dimension == 2 and big.shape[0] > FACTOR_MAX_NODES

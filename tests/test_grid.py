@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt.cli import grid_csv
 
 
 def test_unit_square_h_half_single_node():
@@ -145,7 +146,7 @@ def test_rectangle_counts_product(nx, ny):
 
 def test_grid_csv_layout():
     g = mo.build_grid(mo.square_spec(1.0 / 3))
-    text = mo.grid_csv(g, header_lines=["probe"])
+    text = grid_csv(g, header_lines=["probe"])
     lines = text.strip().splitlines()
     assert lines[0] == "# probe"
     assert lines[1] == "i0,i1,x0,x1,e2w"

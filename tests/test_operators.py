@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 import membrane_opt as mo
-from membrane_opt.operators import coordinate_text
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def _symbolic_bilaplacian(grid):
 ])
 def test_bilaplacian_matches_symbolic_double_application(spec):
     g = mo.build_grid(spec)
-    assembled = mo.assemble_stiffness(g, mo.OperatorSpec(order=4)).to_dense()
+    assembled = mo.assemble_stiffness(g, order=4).to_dense()
     assert np.array_equal(assembled, _symbolic_bilaplacian(g))
 
 
@@ -81,7 +80,7 @@ def test_single_node_stencils():
     g = mo.build_grid(mo.square_spec(0.5))
     a2 = mo.assemble_stiffness(g).to_dense()
     assert a2.item() == pytest.approx(4.0 / 0.25)
-    a4 = mo.assemble_stiffness(g, mo.OperatorSpec(order=4)).to_dense()
+    a4 = mo.assemble_stiffness(g, order=4).to_dense()
     # hand value: 20 from the interior 13-point stencil plus 4 reflections
     assert a4.item() == pytest.approx(24.0 / 0.5**4)
 
@@ -90,7 +89,7 @@ def test_1d_clamped_beam_rows():
     h = 1.0 / 6
     g = mo.build_grid(mo.box_spec(h, [(0.0, 1.0)]))
     assert g.node_count == 5
-    b = mo.assemble_stiffness(g, mo.OperatorSpec(order=4)).to_dense() * h**4
+    b = mo.assemble_stiffness(g, order=4).to_dense() * h**4
     expected = np.array([
         [7, -4, 1, 0, 0],
         [-4, 6, -4, 1, 0],
@@ -103,7 +102,7 @@ def test_1d_clamped_beam_rows():
 
 def test_deep_interior_13_point_stencil():
     g = mo.build_grid(mo.square_spec(0.1))
-    b = mo.assemble_stiffness(g, mo.OperatorSpec(order=4))
+    b = mo.assemble_stiffness(g, order=4)
     center = g.find((5, 5))
     row = b.to_dense()[center] * g.spacing**4
     coefs = {}
@@ -127,14 +126,14 @@ def test_deep_interior_13_point_stencil():
 ])
 def test_stiffness_exactly_symmetric(order, spec):
     g = mo.build_grid(spec)
-    a = mo.assemble_stiffness(g, mo.OperatorSpec(order=order)).matrix
+    a = mo.assemble_stiffness(g, order=order).matrix
     assert (a - a.T).nnz == 0
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_stiffness_positive_definite(order):
     g = mo.build_grid(mo.disk_spec(1.0 / 8))
-    dense = mo.assemble_stiffness(g, mo.OperatorSpec(order=order)).to_dense()
+    dense = mo.assemble_stiffness(g, order=order).to_dense()
     assert scipy.linalg.eigh(dense, eigvals_only=True)[0] > 0.0
     ones = np.ones(g.node_count)
     assert ones @ (dense @ ones) > 0.0
@@ -191,19 +190,10 @@ def test_weight_rejects_nonpositive():
 def test_order4_rejects_background():
     g = mo.build_grid(mo.square_spec(1.0 / 8, background=lambda p: 0.1))
     with pytest.raises(ValueError, match="flat background required for GJMS case"):
-        mo.assemble_stiffness(g, mo.OperatorSpec(order=4))
+        mo.assemble_stiffness(g, order=4)
 
 
-def test_operator_spec_validates_order():
-    with pytest.raises(ValueError, match="order"):
-        mo.OperatorSpec(order=3)
-
-
-def test_coordinate_text_round_trip():
+def test_assemble_stiffness_validates_order():
     g = mo.build_grid(mo.square_spec(1.0 / 3))
-    sm = mo.assemble_stiffness(g)
-    rebuilt = np.zeros(sm.shape)
-    for line in coordinate_text(sm).strip().splitlines():
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, sm.to_dense())
+    with pytest.raises(ValueError, match="operator order must be 2 or 4, got 3"):
+        mo.assemble_stiffness(g, order=3)

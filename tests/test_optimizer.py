@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt import operators, optimizer
 from membrane_opt.optimizer import CONVERGED, MAX_ITER
 
 
@@ -292,7 +293,7 @@ def test_minimize_2x2_matches_enumeration_oracle():
     opts = mo.SolverOptions(cg_rel_tol=1e-13, eig_rel_tol=1e-12)
     for mass in (5.0, 5.5):
         spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=mass)
-        oracle = mo.enumerate_optimal(g, spec)
+        oracle = mo.enumerate_optimal(spec)
         sols = mo.multi_start(spec, range(8), opts=opts)
         best = min(s.eigenpair.eigenvalue for s in sols)
         assert abs(best - oracle.eigenvalue) <= 1e-10 * abs(oracle.eigenvalue)
@@ -378,6 +379,26 @@ def test_multi_start_needs_a_seed():
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=12.0)
     with pytest.raises(ValueError):
         mo.multi_start(spec, [])
+
+
+def test_multi_start_assembles_and_factors_once(monkeypatch):
+    calls = {"assemble_stiffness": 0, "splu": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimizer, "assemble_stiffness")
+    counted(operators, "splu")
+    g = mo.build_grid(mo.dumbbell_spec(1.0 / 16))
+    spec = mo.ProblemSpec.from_exponent_bound(g, math.log(2.0), 1.921875)
+    assert len(mo.multi_start(spec, range(3))) >= 1
+    assert calls == {"assemble_stiffness": 1, "splu": 1}
+    assert spec.stiffness is spec.stiffness
 
 
 def test_uniform_density_feasible():

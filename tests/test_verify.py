@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt.cli import contour_csv
 from membrane_opt.verify import _chain_segments, pure_difference_sup
 
 
@@ -19,7 +20,7 @@ def _grid_n(n):
 def test_candidate_count_without_fraction():
     g = _grid_n(2)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=5.0)  # k = 1
-    oracle = mo.enumerate_optimal(g, spec)
+    oracle = mo.enumerate_optimal(spec)
     assert len(oracle.ranking) == 4
     assert all(c.fractional_node is None for c in oracle.ranking)
 
@@ -27,7 +28,7 @@ def test_candidate_count_without_fraction():
 def test_candidate_count_with_fraction():
     g = _grid_n(2)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=5.5)  # k = 1 + 1/2
-    oracle = mo.enumerate_optimal(g, spec)
+    oracle = mo.enumerate_optimal(spec)
     assert len(oracle.ranking) == 4 * 3
     assert all(c.fractional_node is not None for c in oracle.ranking)
     oracle.density.validate(spec, two_valued=True)
@@ -36,7 +37,7 @@ def test_candidate_count_with_fraction():
 def test_optimal_placements_closed_under_square_symmetry():
     g = _grid_n(2)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=5.0)
-    oracle = mo.enumerate_optimal(g, spec)
+    oracle = mo.enumerate_optimal(spec)
     mus = sorted(c.eigenvalue for c in oracle.ranking)
     # all four single-node placements are equivalent under the symmetry group
     assert mus[-1] - mus[0] <= 1e-12 * abs(mus[0])
@@ -46,7 +47,7 @@ def test_optimal_placements_closed_under_square_symmetry():
 def test_oracle_matches_multi_start_on_3x3():
     g = _grid_n(3)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=12.0)  # k = 3
-    oracle = mo.enumerate_optimal(g, spec)
+    oracle = mo.enumerate_optimal(spec)
     sols = mo.multi_start(spec, range(8),
                           opts=mo.SolverOptions(cg_rel_tol=1e-13, eig_rel_tol=1e-12))
     best = min(s.eigenpair.eigenvalue for s in sols)
@@ -60,20 +61,20 @@ def test_oracle_scale_cap():
     g = _grid_n(5)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=30.0)
     with pytest.raises(ValueError, match="oracle scale exceeded"):
-        mo.enumerate_optimal(g, spec)
+        mo.enumerate_optimal(spec)
 
 
 def test_oracle_requires_uniform_cells():
     g = mo.build_grid(mo.square_spec(1.0 / 3, background=lambda p: 0.2 * p[0]))
     spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=mo.domain_volume(g))
     with pytest.raises(ValueError, match="uniform node volumes"):
-        mo.enumerate_optimal(g, spec)
+        mo.enumerate_optimal(spec)
 
 
 def test_oracle_partition_passes_sublevel_with_own_eigenfunction():
     g = _grid_n(3)
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=12.5)
-    oracle = mo.enumerate_optimal(g, spec)
+    oracle = mo.enumerate_optimal(spec)
     ok, margin = mo.sublevel_check(oracle.eigenvector, oracle.partition)
     assert ok, margin
 
@@ -252,7 +253,7 @@ def test_contour_csv_format():
     g = mo.build_grid(mo.disk_spec(1.0 / 16))
     phi = 1.0 - np.sum(g.coordinates() ** 2, axis=1)
     contours = mo.extract_contour(phi, 0.5, g)
-    text = mo.contour_csv(contours, header_lines=["probe"])
+    text = contour_csv(contours, header_lines=["probe"])
     lines = text.strip().splitlines()
     assert lines[0] == "# probe"
     assert "curve,x,y" in lines
