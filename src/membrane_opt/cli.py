@@ -411,38 +411,53 @@ def _comment_block(lines) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _table(header_lines, names, *columns) -> str:
-    """Comment block, column names, then one comma-separated row per index.
-    On Python ints and floats ``str`` is ``repr`` (shortest round-trip
-    digits), which keeps tables byte-stable; text and None go unquoted."""
-    cells = (map(str, np.asarray(column).tolist()) for column in columns)
-    rows = map(",".join, zip(*cells))
-    return _comment_block(header_lines) + "\n".join([",".join(names), *rows]) + "\n"
+# rows a table writer formats per write, so that the memory an export takes
+# stays bounded however many rows the table has
+_CHUNK_ROWS = 2048
 
 
-def _report(header_lines, fields: dict) -> str:
+def _rows(stream, columns) -> None:
+    """One comma-separated line per index of equal-length columns, formatted
+    and written ``_CHUNK_ROWS`` rows at a time.  On Python ints and floats
+    ``str`` is ``repr`` (shortest round-trip digits), which keeps tables
+    byte-stable; text and None go unquoted."""
+    columns = [np.asarray(column) for column in columns]
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = (map(str, column[start:start + _CHUNK_ROWS].tolist())
+                 for column in columns)
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _table(stream, header_lines, names, *columns) -> None:
+    """Comment block, column names, then one row per index."""
+    stream.write(_comment_block(header_lines) + ",".join(names) + "\n")
+    _rows(stream, columns)
+
+
+def _report(stream, header_lines, fields: dict) -> None:
     """Comment block, then one ``key = value`` line per field (``str``)."""
-    return _comment_block(header_lines) + "".join(f"{k} = {v}\n" for k, v in fields.items())
+    stream.write(_comment_block(header_lines)
+                 + "".join(f"{k} = {v}\n" for k, v in fields.items()))
 
 
-def density_csv(density: DensityField, exponent: int, header_lines) -> str:
+def density_csv(stream, density: DensityField, exponent: int, header_lines) -> None:
     values = density.values
-    return _table(header_lines, ("node", "rho", "u"), np.arange(values.shape[0]),
-                  values, density.conformal_factor(exponent))
+    _table(stream, header_lines, ("node", "rho", "u"), np.arange(values.shape[0]),
+           values, density.conformal_factor(exponent))
 
 
-def eigenfunction_csv(phi: np.ndarray, header_lines) -> str:
-    return _table(header_lines, ("node", "phi"), np.arange(len(phi)), phi)
+def eigenfunction_csv(stream, phi: np.ndarray, header_lines) -> None:
+    _table(stream, header_lines, ("node", "phi"), np.arange(len(phi)), phi)
 
 
-def grid_csv(grid: Grid, header_lines=()) -> str:
+def grid_csv(stream, grid: Grid, header_lines=()) -> None:
     """One row per node: integer coords, physical coords, e^(2w)."""
     axes = range(grid.dimension)
     names = [f"i{k}" for k in axes] + [f"x{k}" for k in axes] + ["e2w"]
-    return _table(header_lines, names, *grid.nodes.T, *grid.coordinates().T, grid.e2w)
+    _table(stream, header_lines, names, *grid.nodes.T, *grid.coordinates().T, grid.e2w)
 
 
-def contour_csv(contours: ContourSet, header_lines=()) -> str:
+def contour_csv(stream, contours: ContourSet, header_lines=()) -> None:
     """Polylines as CSV rows (curve id, x, y); closed ids in a header comment."""
     polylines = contours.polylines
     closed_ids = [k for k, p in enumerate(polylines) if p.closed]
@@ -450,10 +465,10 @@ def contour_csv(contours: ContourSet, header_lines=()) -> str:
             f"region_components={contours.region_components}"]
     curve = np.repeat(np.arange(len(polylines)), [len(p.points) for p in polylines])
     points = np.concatenate([np.empty((0, 2)), *(p.points for p in polylines)])
-    return _table(head, ("curve", "x", "y"), curve, *points.T)
+    _table(stream, head, ("curve", "x", "y"), curve, *points.T)
 
 
-def trace_text(trace: OptimizationTrace, header: dict) -> str:
+def trace_text(stream, trace: OptimizationTrace, header: dict) -> None:
     lines = [json.dumps({"type": "header", **header}, sort_keys=True)]
     for r in trace.records:
         lines.append(json.dumps({
@@ -462,18 +477,23 @@ def trace_text(trace: OptimizationTrace, header: dict) -> str:
             "residual": r.residual,
         }, sort_keys=True))
     lines.append(json.dumps({"type": "status", "status": trace.status}, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    stream.write("\n".join(lines) + "\n")
 
 
-def partition_text(partition: LevelSetPartition, header_lines) -> str:
-    extra = [
+def partition_text(stream, partition: LevelSetPartition, header_lines) -> None:
+    """Comment block, then one low-region node index per line (a single
+    empty line when the low region is empty)."""
+    stream.write(_comment_block([
+        *header_lines,
         f"threshold={partition.threshold!r}",
         f"fractional_node={partition.fractional_node}",
         f"low_count={partition.low_count} high_count={partition.high_count}",
         "one low-region node index per line",
-    ]
-    body = "\n".join(map(str, partition.low_nodes.tolist()))
-    return _comment_block(list(header_lines) + extra) + body + "\n"
+    ]))
+    if partition.low_nodes.size:
+        _rows(stream, [partition.low_nodes])
+    else:
+        stream.write("\n")
 
 
 def pgm_bytes(grid: Grid, values: np.ndarray, what: str, header_lines) -> bytes:
@@ -504,15 +524,17 @@ def pgm_bytes(grid: Grid, values: np.ndarray, what: str, header_lines) -> bytes:
     return head.encode() + image.tobytes()
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
+def _write(path: Path, writer, *args) -> None:
+    """Create the text file ``path`` and let ``writer(stream, *args)`` fill it."""
+    with path.open("w") as stream:
+        writer(stream, *args)
 
 
 def _status_file(out: Path, config: RunConfig, ok: bool, detail: str) -> None:
     state = "ok" if ok else "incomplete"
-    _write(out / "status.txt", _report(
-        [f"config={config.config_hash} subcommand={config.subcommand} "
-         f"nodes={config.grid.node_count}"], {"status": state, "detail": detail}))
+    _write(out / "status.txt", _report,
+           [f"config={config.config_hash} subcommand={config.subcommand} "
+            f"nodes={config.grid.node_count}"], {"status": state, "detail": detail})
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +543,18 @@ def _status_file(out: Path, config: RunConfig, ok: bool, detail: str) -> None:
 def _export_solution(config: RunConfig, out: Path, density, pair, partition, trace) -> None:
     head = config.header_lines
     if config.export_fields:
-        _write(out / "density.csv",
-               density_csv(density, config.problem.exponent, head("density field")))
-        _write(out / "eigenfunction.csv", eigenfunction_csv(
-            pair.vector,
-            head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}")))
-        _write(out / "grid.csv", grid_csv(config.grid, head("grid nodes")))
+        _write(out / "density.csv", density_csv,
+               density, config.problem.exponent, head("density field"))
+        _write(out / "eigenfunction.csv", eigenfunction_csv, pair.vector,
+               head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}"))
+        _write(out / "grid.csv", grid_csv, config.grid, head("grid nodes"))
     if config.export_trace:
-        _write(out / "trace.txt", trace_text(trace, config.trace_header()))
-    _write(out / "partition.txt", partition_text(partition, head("low-region partition")))
+        _write(out / "trace.txt", trace_text, trace, config.trace_header())
+    _write(out / "partition.txt", partition_text, partition, head("low-region partition"))
     if config.export_contours and config.grid.dimension == 2:
         contours = extract_contour(pair.vector, partition.threshold, config.grid)
-        _write(out / "contours.csv", contour_csv(
-            contours, head(f"level curves at threshold={partition.threshold!r}")))
+        _write(out / "contours.csv", contour_csv,
+               contours, head(f"level curves at threshold={partition.threshold!r}"))
     if config.export_images and config.grid.dimension == 2:
         (out / "phi.pgm").write_bytes(
             pgm_bytes(config.grid, pair.vector, "phi", head("eigenfunction image")))
@@ -568,17 +589,17 @@ def _run_oracle(config: RunConfig, out: Path) -> int:
     verdict = "MATCH" if rel <= 1e-10 else "MISMATCH"
     ok_sub, margin = sublevel_check(oracle.eigenvector, oracle.partition)
 
-    _write(out / "oracle_report.txt", _report(config.header_lines("oracle cross-check"), {
+    _write(out / "oracle_report.txt", _report, config.header_lines("oracle cross-check"), {
         "candidates": len(oracle.ranking), "oracle_mu": oracle.eigenvalue,
         "multi_start_best_mu": best, "rel_diff": rel, "verdict": verdict,
-        "oracle_sublevel_ok": ok_sub, "oracle_sublevel_margin": margin}))
+        "oracle_sublevel_ok": ok_sub, "oracle_sublevel_margin": margin})
 
     ranking = oracle.ranking
-    _write(out / "ranking.csv", _table(
-        config.header_lines("oracle ranking"), ("mu", "high_nodes", "fractional_node"),
-        [c.eigenvalue for c in ranking],
-        [";".join(map(str, c.high_nodes)) for c in ranking],
-        [c.fractional_node for c in ranking]))
+    _write(out / "ranking.csv", _table,
+           config.header_lines("oracle ranking"), ("mu", "high_nodes", "fractional_node"),
+           [c.eigenvalue for c in ranking],
+           [";".join(map(str, c.high_nodes)) for c in ranking],
+           [c.fractional_node for c in ranking])
     _status_file(out, config, True, f"verdict {verdict}")
     return 0
 
@@ -589,12 +610,12 @@ def _run_sweep(config: RunConfig, out: Path) -> int:
                                          config.grid.node_count)
     head = config.header_lines("seed sweep") + [f"solution_classes={len(classes)}"]
     _, pairs, partitions, traces = zip(*results)
-    _write(out / "sweep.csv", _table(
-        head, ("seed", "class", "status", "iterations", "mu", "threshold",
-               "low_count", "fractional_node"),
-        config.seeds, labels, [t.status for t in traces], [len(t) for t in traces],
-        [p.eigenvalue for p in pairs], [q.threshold for q in partitions],
-        [q.low_count for q in partitions], [q.fractional_node for q in partitions]))
+    _write(out / "sweep.csv", _table,
+           head, ("seed", "class", "status", "iterations", "mu", "threshold",
+                  "low_count", "fractional_node"),
+           config.seeds, labels, [t.status for t in traces], [len(t) for t in traces],
+           [p.eigenvalue for p in pairs], [q.threshold for q in partitions],
+           [q.low_count for q in partitions], [q.fractional_node for q in partitions])
     bad = any(t.status == MAX_ITER for t in traces)
     _status_file(out, config, not bad, f"{len(classes)} solution classes")
     return 2 if bad else 0
@@ -644,16 +665,21 @@ def _run_check(config: RunConfig, out: Path) -> int:
     converged_rel = abs(pair.eigenvalue - mu_reweighted) / abs(mu_reweighted)
 
     conformal_ok = bit_identical and uniform_rel <= 1e-12 and converged_rel <= 1e-12
-    _write(out / "check_conformal.txt", _report(
-        head("conformal invariance check") + [f"bump_amplitude={amplitude!r}"], {
-            "stiffness_bit_identical": bit_identical, "weight_max_rel_diff": weight_rel,
-            "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
-            "verdict": "PASS" if conformal_ok else "FAIL"}))
+    _write(out / "check_conformal.txt", _report,
+           head("conformal invariance check") + [f"bump_amplitude={amplitude!r}"], {
+               "stiffness_bit_identical": bit_identical, "weight_max_rel_diff": weight_rel,
+               "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
+               "verdict": "PASS" if conformal_ok else "FAIL"})
 
-    # regularity: the same composite problem at h, h/2, ...
+    # regularity: the same composite problem at h, h/2, ...; on a flat config
+    # level 0 is the config's own problem, whose solution the symmetry check
+    # below reuses
     levels = [config.grid.spacing / 2**k for k in range(config.check_levels)]
+    flat_config = config.grid.flat
 
     def problem_at(h: float) -> ProblemSpec:
+        if flat_config and h == levels[0]:
+            return config.problem
         spec = GridSpec(flat_spec.dimension, h, flat_spec.bounds, flat_spec.shape)
         g = build_grid(spec)
         return ProblemSpec(grid=g, rho_min=config.problem.rho_min,
@@ -664,11 +690,11 @@ def _run_check(config: RunConfig, out: Path) -> int:
 
     report = regularity_trend(problem_at, levels, opts=config.solver,
                               max_alternations=config.max_alternations)
-    _write(out / "check_regularity.txt", _report(
-        head("second-difference regularity trend"), {
-            "levels": list(report.levels), "sups": list(report.sups),
-            "ratios": list(report.ratios),
-            "verdict": "PASS" if report.bounded() else "FAIL"}))
+    _write(out / "check_regularity.txt", _report,
+           head("second-difference regularity trend"), {
+               "levels": list(report.levels), "sups": list(report.sups),
+               "ratios": list(report.ratios),
+               "verdict": "PASS" if report.bounded() else "FAIL"})
 
     # symmetry: reflected converged densities give the same eigenvalue
     symmetric_axes = []
@@ -681,8 +707,11 @@ def _run_check(config: RunConfig, out: Path) -> int:
     fields = {"symmetric_axes": symmetric_axes}
     equivariant = True
     if symmetric_axes:
-        density, pair, _, _ = minimize(config.problem, opts=config.solver,
-                                       max_alternations=config.max_alternations)
+        if flat_config:
+            density, pair, _, _ = report.solutions[0]
+        else:
+            density, pair, _, _ = minimize(config.problem, opts=config.solver,
+                                           max_alternations=config.max_alternations)
         for axis in symmetric_axes:
             perm = mirror_permutation(config.grid, axis)
             reflected = np.empty_like(density.values)
@@ -694,7 +723,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
             fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel
             equivariant = equivariant and rel <= 1e-10
     fields["verdict"] = "PASS" if equivariant else "FAIL"
-    _write(out / "check_symmetry.txt", _report(head("mirror symmetry check"), fields))
+    _write(out / "check_symmetry.txt", _report, head("mirror symmetry check"), fields)
 
     _status_file(out, config, True, "checks written")
     return 0
@@ -716,7 +745,7 @@ def run(config: RunConfig) -> int:
         partial = getattr(exc, "partial_trace", None)
         if partial is not None and config.export_trace:
             partial.status = "aborted"
-            _write(out / "trace.txt", trace_text(partial, config.trace_header()))
+            _write(out / "trace.txt", trace_text, partial, config.trace_header())
         _status_file(out, config, False, f"solver failure: {exc}")
         return 2
 

@@ -271,7 +271,9 @@ class Grid:
 
     def coordinates(self) -> np.ndarray:
         """Physical node centers, shape (N, d)."""
-        return np.asarray(self.origin) + self.nodes * self.spacing
+        coords = self.nodes * self.spacing
+        coords += self.origin
+        return coords
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Node indices for an (N, d) array of integer coordinates, -1 where

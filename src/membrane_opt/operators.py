@@ -1,19 +1,20 @@
 """Finite-difference stiffness and weight operators on masked grids.
 
 Order 2 is the (2d+1)-point Dirichlet Laplacian with eliminated boundary
-rows.  Order 4 is the square of that Laplacian with clamped-plate walls:
-the intermediate Laplacian is also evaluated on the Dirichlet layer
-(value zero there), where any non-interior neighbor is replaced by the
-mirror image of the opposite node, which encodes a vanishing normal
-derivative.  Applying the reflection to every non-interior neighbor, not
-only to points strictly outside the closure, keeps the assembled matrix
-exactly symmetric on non-convex masked domains; on rectangles the two
-rules coincide.
+rows, assembled directly as CSR from the grid's neighbor table.  Order 4
+is the square of that Laplacian with clamped-plate walls: the
+intermediate Laplacian is also evaluated on the Dirichlet layer (value
+zero there), where any non-interior neighbor is replaced by the mirror
+image of the opposite node, which encodes a vanishing normal derivative.
+Applying the reflection to every non-interior neighbor, not only to
+points strictly outside the closure, keeps the assembled matrix exactly
+symmetric on non-convex masked domains; on rectangles the two rules
+coincide.
 
-Assembly happens in integer stencil units and is scaled by h^(-p) at the
-end.  All intermediate arithmetic is exact in double precision, so the
-matrix is symmetric entry-for-entry and independent, bit for bit, of the
-background weight field.
+Assembly happens in integer stencil units and is scaled by h^(-p) in
+place at the end.  All intermediate arithmetic is exact in double
+precision, so the matrix is symmetric entry-for-entry and independent,
+bit for bit, of the background weight field.
 """
 
 from __future__ import annotations
@@ -85,23 +86,26 @@ class StiffnessMatrix:
 
 
 def _laplacian_interior(grid: Grid) -> sp.csr_matrix:
-    """Integer-unit Laplacian stencil on interior nodes (h^2 times -Lap)."""
+    """Integer-unit Laplacian stencil on interior nodes (h^2 times -Lap),
+    assembled directly as CSR from the neighbor table."""
     n = grid.node_count
     d = grid.dimension
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    data = [np.full(n, 2.0 * d)]
-    src, slot = np.nonzero(grid.neighbors >= 0)
-    rows.append(src)
-    cols.append(grid.neighbors[src, slot])
-    data.append(np.full(src.shape[0], -1.0))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
+    # one stencil row per node, columns ascending: nodes are in lexicographic
+    # order (axis 0 slowest), so the minus neighbors of axes 0..d-1, the node
+    # itself, then the plus neighbors of axes d-1..0; -1 marks a wall
+    index = np.int32 if n * (2 * d + 1) <= np.iinfo(np.int32).max else np.int64
+    stencil = np.empty((n, 2 * d + 1), dtype=index)
+    stencil[:, :d] = grid.neighbors[:, 0::2]
+    stencil[:, d] = np.arange(n)
+    stencil[:, d + 1:] = grid.neighbors[:, ::-2]
+    present = stencil >= 0
+    indices = stencil[present]
+    del stencil
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    data = np.full(indices.shape[0], -1.0)
+    data[indptr[:-1] + np.count_nonzero(present[:, :d], axis=1)] = 2.0 * d
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _bilaplacian(grid: Grid) -> sp.csr_matrix:
@@ -154,11 +158,8 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
         raise ValueError(f"operator order must be 2 or 4, got {order}")
     if order == 4 and not grid.flat:
         raise ValueError("flat background required for GJMS case (order 4 needs w = 0)")
-    if order == 2:
-        mat = _laplacian_interior(grid)
-    else:
-        mat = _bilaplacian(grid)
-    mat = mat * grid.spacing ** float(-order)
+    mat = _laplacian_interior(grid) if order == 2 else _bilaplacian(grid)
+    mat.data *= grid.spacing ** float(-order)
     mat.sort_indices()
     mat.data.setflags(write=False)
     return StiffnessMatrix(matrix=mat, order=order, spacing=grid.spacing,

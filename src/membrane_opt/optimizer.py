@@ -332,6 +332,14 @@ def _same_split(a: LevelSetPartition, b: LevelSetPartition | None) -> bool:
         and np.array_equal(a.high_nodes, b.high_nodes)
 
 
+def _set_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -> int:
+    """Size of the symmetric difference of two low regions, counted through
+    a membership mask rather than a sort or hash of the index sets."""
+    member = np.zeros(node_count, dtype=bool)
+    member[a.low_nodes] = True
+    return a.low_count + b.low_count - 2 * int(np.count_nonzero(member[b.low_nodes]))
+
+
 def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions(),
              max_alternations: int = 200,
              ) -> tuple[DensityField, EigenPair, LevelSetPartition, OptimizationTrace]:
@@ -373,7 +381,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
         if prev is None:
             set_change = partition.low_count
         else:
-            set_change = int(np.setxor1d(partition.low_nodes, prev.low_nodes).size)
+            set_change = _set_change(partition, prev, grid.node_count)
         trace.records.append(TraceRecord(
             iteration=it,
             eigenvalue=pair.eigenvalue,
@@ -430,7 +438,7 @@ def classify_solutions(seeds, results, node_count: int,
         for k, (_, (_, rep_pair, rep_partition, _)) in enumerate(firsts):
             close_mu = abs(pair.eigenvalue - rep_pair.eigenvalue) <= \
                 mu_rtol * max(abs(pair.eigenvalue), abs(rep_pair.eigenvalue))
-            diff = np.setxor1d(partition.low_nodes, rep_partition.low_nodes).size
+            diff = _set_change(partition, rep_partition, node_count)
             if close_mu and diff <= max_diff:
                 break
         else:

@@ -11,7 +11,7 @@ table (``contours.csv``) is written by ``cli.contour_csv``.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -366,11 +366,13 @@ def pure_difference_sup(grid: Grid, values: np.ndarray, order: int = 2) -> float
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Sup of pure second differences per refinement level and their growth."""
+    """Sup of pure second differences per refinement level and their growth;
+    ``solutions`` holds the ``minimize`` result of each level."""
 
     levels: tuple[float, ...]
     sups: tuple[float, ...]
     ratios: tuple[float, ...]
+    solutions: tuple = field(default=(), repr=False, compare=False)
 
     def bounded(self, threshold: float = 1.5) -> bool:
         return all(r <= threshold for r in self.ratios)
@@ -388,13 +390,16 @@ def regularity_trend(problem_at: Callable[[float], ProblemSpec],
     ratio at every halving and is caught by the same machinery.
     """
     sups = []
+    solutions = []
     for h in levels:
         spec = problem_at(h)
-        _, pair, _, _ = minimize(spec, opts=opts, max_alternations=max_alternations)
-        phi = pair.vector / np.max(np.abs(pair.vector))
+        result = minimize(spec, opts=opts, max_alternations=max_alternations)
+        solutions.append(result)
+        phi = result[1].vector / np.max(np.abs(result[1].vector))
         sups.append(pure_difference_sup(spec.grid, phi, order=2))
     ratios = tuple(sups[k + 1] / sups[k] for k in range(len(sups) - 1))
-    return RegularityReport(levels=tuple(levels), sups=tuple(sups), ratios=ratios)
+    return RegularityReport(levels=tuple(levels), sups=tuple(sups), ratios=ratios,
+                            solutions=tuple(solutions))
 
 
 def radial_deviation(nodes: Iterable[int] | np.ndarray, grid: Grid) -> float:
@@ -409,10 +414,7 @@ def radial_deviation(nodes: Iterable[int] | np.ndarray, grid: Grid) -> float:
     members = _node_mask(nodes, grid)
     radii = np.linalg.norm(grid.coordinates() - np.asarray(shape.center), axis=1)
     bins = np.floor(radii / grid.spacing).astype(np.int64)
-    disagreement = 0
-    for b in np.unique(bins):
-        in_bin = bins == b
-        hits = int(np.count_nonzero(members[in_bin]))
-        total = int(np.count_nonzero(in_bin))
-        disagreement += min(hits, total - hits)
+    totals = np.bincount(bins)
+    hits = np.bincount(bins[members], minlength=totals.size)
+    disagreement = int(np.sum(np.minimum(hits, totals - hits)))
     return disagreement / grid.node_count

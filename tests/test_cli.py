@@ -1,8 +1,10 @@
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,29 @@ def test_check_subcommand_reports(tmp_path):
     assert "verdict = PASS" in symmetry
 
 
+def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
+    # configs/square.cfg with two levels: the curved run, regularity at h and
+    # h/2, and the symmetry check, which reuses the flat level-0 solution
+    from membrane_opt import cli, verify
+
+    calls = []
+
+    def counted(minimize):
+        def wrapper(spec, *args, **kwargs):
+            calls.append(spec.grid.node_count)
+            return minimize(spec, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "minimize", counted(cli.minimize))
+    monkeypatch.setattr(verify, "minimize", counted(verify.minimize))
+    text = (Path(__file__).resolve().parents[1] / "configs" / "square.cfg").read_text()
+    cfg = _write_cfg(tmp_path, text + "check_levels = 2\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [3969, 3969, 16129]
+    assert (out / "check_symmetry.txt").read_text().count("verdict = PASS") == 1
+
+
 def test_pgm_dimensions(tmp_path):
     cfg = _write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -342,6 +367,13 @@ def test_disk_with_background_bump_parses_and_checks(tmp_path):
 HEADER = ["membrane-opt probe", "config=0123456789abcdef subcommand=solve"]
 
 
+def _streamed(writer, *args) -> str:
+    """What a writer streams into a text file, as one string."""
+    stream = io.StringIO()
+    writer(stream, *args)
+    return stream.getvalue()
+
+
 def _ref_table(header, names, rows):
     return "".join(f"# {line}\n" for line in header) + "\n".join([names, *rows]) + "\n"
 
@@ -365,16 +397,16 @@ def test_node_tables_match_row_references(spec):
     coords = g.coordinates()
     d = g.dimension
 
-    assert density_csv(density, 4, HEADER) == _ref_table(
+    assert _streamed(density_csv, density, 4, HEADER) == _ref_table(
         HEADER, "node,rho,u",
         [f"{i},{float(rho[i])!r},{float(u[i])!r}" for i in range(g.node_count)])
-    assert eigenfunction_csv(phi, HEADER) == _ref_table(
+    assert _streamed(eigenfunction_csv, phi, HEADER) == _ref_table(
         HEADER, "node,phi", [f"{i},{float(v)!r}" for i, v in enumerate(phi)])
     names = ",".join([f"i{k}" for k in range(d)] + [f"x{k}" for k in range(d)] + ["e2w"])
     rows = [",".join([*(str(int(v)) for v in g.nodes[i]),
                       *(repr(float(v)) for v in coords[i]), repr(float(g.e2w[i]))])
             for i in range(g.node_count)]
-    assert grid_csv(g, HEADER) == _ref_table(HEADER, names, rows)
+    assert _streamed(grid_csv, g, HEADER) == _ref_table(HEADER, names, rows)
 
 
 def _polyline(points, closed):
@@ -393,4 +425,20 @@ def test_contour_table_matches_row_reference(count):
     header = HEADER + [f"closed_curves={closed!r}", f"region_components={count + 1}"]
     rows = [f"{k},{float(x)!r},{float(y)!r}"
             for k, p in enumerate(polylines) for x, y in p.points]
-    assert contour_csv(contours, HEADER) == _ref_table(header, "curve,x,y", rows)
+    assert _streamed(contour_csv, contours, HEADER) == _ref_table(header, "curve,x,y", rows)
+
+
+def test_grid_csv_memory_does_not_grow_with_rows(tmp_path):
+    g = mo.build_grid(mo.disk_spec(1.0 / 128))
+    tracemalloc.start()
+    try:
+        with (tmp_path / "grid.csv").open("w") as stream:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grid_csv(stream, g, HEADER)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert len(lines) == len(HEADER) + 1 + g.node_count

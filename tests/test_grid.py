@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -146,7 +147,9 @@ def test_rectangle_counts_product(nx, ny):
 
 def test_grid_csv_layout():
     g = mo.build_grid(mo.square_spec(1.0 / 3))
-    text = grid_csv(g, header_lines=["probe"])
+    stream = io.StringIO()
+    grid_csv(stream, g, header_lines=["probe"])
+    text = stream.getvalue()
     lines = text.strip().splitlines()
     assert lines[0] == "# probe"
     assert lines[1] == "i0,i1,x0,x1,e2w"

@@ -1,10 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt import operators
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +203,76 @@ def test_assemble_stiffness_validates_order():
     g = mo.build_grid(mo.square_spec(1.0 / 3))
     with pytest.raises(ValueError, match="operator order must be 2 or 4, got 3"):
         mo.assemble_stiffness(g, order=3)
+
+
+# ---------------------------------------------------------------------------
+# direct CSR assembly against the COO construction it replaced
+
+def _coo_laplacian(grid):
+    """Integer-unit Laplacian through COO triplets, duplicates summed."""
+    n = grid.node_count
+    src, slot = np.nonzero(grid.neighbors >= 0)
+    rows = np.concatenate([np.arange(n), src])
+    cols = np.concatenate([np.arange(n), grid.neighbors[src, slot]])
+    data = np.concatenate([np.full(n, 2.0 * grid.dimension), np.full(src.shape[0], -1.0)])
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def _same_csr(a, b):
+    return all(getattr(a, k).dtype == getattr(b, k).dtype
+               and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+               for k in ("indptr", "indices", "data"))
+
+
+def _check_csr_identity(grid):
+    assert _same_csr(operators._laplacian_interior(grid), _coo_laplacian(grid))
+    orders = (2, 4) if grid.flat else (2,)
+    for order in orders:
+        got = mo.assemble_stiffness(grid, order=order).matrix
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(operators, "_laplacian_interior", _coo_laplacian)
+            base = _coo_laplacian(grid) if order == 2 else operators._bilaplacian(grid)
+        assert _same_csr(got, base * grid.spacing ** float(-order))
+
+
+@pytest.mark.parametrize("spec", [
+    mo.box_spec(1.0 / 7, [(0.0, 1.0)]),
+    mo.square_spec(1.0 / 9),
+    mo.box_spec(0.25, [(0.0, 1.0), (0.0, 1.5), (0.0, 1.25)]),
+    mo.square_spec(0.2, dimension=4),
+    mo.disk_spec(1.0 / 16, center=(0.1, -0.2)),
+    mo.disk_spec(1.0 / 16, background=lambda p: 0.2 * p[0]),
+    mo.dumbbell_spec(1.0 / 16),
+    mo.annulus_spec(1.0 / 12, 0.3, 1.0),
+    mo.annulus_spec(0.25, 0.5, 1.0, dimension=3),
+], ids=["1d", "square", "3d-box", "4d", "disk", "curved-disk", "dumbbell",
+        "annulus", "3d-annulus"])
+def test_direct_csr_matches_coo_construction(spec):
+    _check_csr_identity(mo.build_grid(spec))
+
+
+@given(st.lists(st.booleans(), min_size=36, max_size=36))
+@settings(max_examples=30, deadline=None)
+def test_direct_csr_matches_coo_on_random_masks(inside):
+    cells = frozenset(point for point, keep in
+                      zip(itertools.product(range(1, 7), repeat=2), inside) if keep)
+    assume(cells)
+    h = 1.0 / 7
+    mask = mo.Mask(lambda p: (round(p[0] / h), round(p[1] / h)) in cells)
+    _check_csr_identity(mo.build_grid(mo.GridSpec(2, h, ((0.0, 1.0), (0.0, 1.0)), mask)))
+
+
+def test_assembly_allocates_at_most_twice_the_matrix():
+    grid = mo.build_grid(mo.disk_spec(1.0 / 128))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mat = mo.assemble_stiffness(grid).matrix
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)

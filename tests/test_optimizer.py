@@ -421,3 +421,17 @@ def test_conformal_factor_recovery():
     density = mo.uniform_density(spec)
     u = density.conformal_factor(spec.exponent)
     assert np.exp(2.0 * u) == pytest.approx(density.values, rel=1e-14)
+
+
+@given(st.lists(st.booleans(), min_size=40, max_size=40),
+       st.lists(st.booleans(), min_size=40, max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_set_change_matches_setxor1d(low_a, low_b):
+    def partition(flags):
+        low = np.flatnonzero(flags)
+        return mo.LevelSetPartition(low_nodes=low, high_nodes=np.flatnonzero(~np.asarray(flags)),
+                                    threshold=0.0)
+
+    a, b = partition(low_a), partition(low_b)
+    assert optimizer._set_change(a, b, 40) == \
+        np.setxor1d(a.low_nodes, b.low_nodes).size

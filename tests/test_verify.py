@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -253,7 +254,9 @@ def test_contour_csv_format():
     g = mo.build_grid(mo.disk_spec(1.0 / 16))
     phi = 1.0 - np.sum(g.coordinates() ** 2, axis=1)
     contours = mo.extract_contour(phi, 0.5, g)
-    text = contour_csv(contours, header_lines=["probe"])
+    stream = io.StringIO()
+    contour_csv(stream, contours, header_lines=["probe"])
+    text = stream.getvalue()
     lines = text.strip().splitlines()
     assert lines[0] == "# probe"
     assert "curve,x,y" in lines
@@ -328,6 +331,30 @@ def test_radial_deviation_of_half_disk_is_one_half():
     g = mo.build_grid(mo.disk_spec(1.0 / 16))
     half = np.nonzero(g.coordinates()[:, 0] > 0.0)[0]
     assert mo.radial_deviation(half, g) == pytest.approx(0.5, abs=0.1)
+
+
+def _radial_deviation_loop(nodes, grid):
+    """The per-bin loop that np.bincount replaced."""
+    members = np.zeros(grid.node_count, dtype=bool)
+    members[np.asarray(nodes, dtype=np.int64)] = True
+    center = np.asarray(grid.spec.shape.center)
+    bins = np.floor(np.linalg.norm(grid.coordinates() - center, axis=1)
+                    / grid.spacing).astype(np.int64)
+    disagreement = 0
+    for b in np.unique(bins):
+        in_bin = bins == b
+        hits = int(np.count_nonzero(members[in_bin]))
+        disagreement += min(hits, int(np.count_nonzero(in_bin)) - hits)
+    return disagreement / grid.node_count
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None)
+def test_radial_deviation_matches_per_bin_loop(seed, share):
+    g = mo.build_grid(mo.disk_spec(1.0 / 12, radius=0.8, center=(0.3, -0.1)))
+    rng = np.random.default_rng(seed)
+    nodes = np.flatnonzero(rng.random(g.node_count) < share)
+    assert mo.radial_deviation(nodes, g) == _radial_deviation_loop(nodes, g)
 
 
 def test_radial_deviation_requires_disk():
