@@ -1,17 +1,21 @@
-"""First eigenpair of A phi = mu W phi by inverse iteration.
+"""First eigenpair of A phi = mu W phi by preconditioned inverse iteration.
 
 Every inner solve goes through ``solve_spd``, which has two backends: the
 cached sparse LU factor of an assembled stiffness matrix (2D grids up to
 ``FACTOR_MAX_NODES`` nodes, see ``StiffnessMatrix.factored``), and plain
 conjugate gradients for every other matrix.  With a factor, the outer loop
-is block inverse iteration with Rayleigh-Ritz on ``BLOCK_WIDTH`` vectors,
-which converges at rate mu1/mu3 and so stays fast when mu1 ~ mu2, as on
-symmetric dumbbells.  With conjugate gradients it is single-vector inverse
-power iteration, warm-started from the previous iterate, which converges
-at rate mu1/mu2.  Both are deterministic: fixed all-ones start, a fixed
-second block column, no randomization, no threading (SuperLU is
-single-threaded).  The Rayleigh quotient of the iterates is non-increasing,
-which the outer density optimization relies on for monotone descent.
+is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2):517-541, 2001) on a block
+of ``BLOCK_WIDTH`` vectors with the factor as an exact preconditioner:
+each step solves once with the factor and runs Rayleigh-Ritz on the block,
+its preconditioned images and the previous update direction, so it keeps
+the mu1/mu3 rate of block inverse iteration when mu1 ~ mu2, as on
+symmetric dumbbells, in about half the steps.  With conjugate gradients it
+is single-vector inverse power iteration, warm-started from the previous
+iterate, which converges at rate mu1/mu2.  Both are deterministic: fixed
+all-ones start, a fixed second block column, no randomization, no
+threading (SuperLU is single-threaded).  The Rayleigh quotient of the
+iterates is non-increasing, which the outer density optimization relies on
+for monotone descent.
 """
 
 from __future__ import annotations
@@ -35,15 +39,18 @@ __all__ = [
 
 
 BLOCK_WIDTH = 2
-"""Vectors per block step on the factored path.
+"""Vectors per LOBPCG block on the factored path.
 
-Two is the smallest block that converges at mu1/mu3 rather than mu1/mu2,
-and a wider one does not pay for itself.  Measured on the dumbbell at
-h=1/32 (1973 nodes, ``configs/dumbbell_sweep.cfg``; 2-vCPU Intel Xeon,
-one BLAS thread): a SuperLU solve takes 103 us for one right-hand side,
-155 us for two and 217 us for three (medians of 400 interleaved samples),
-while the eight-seed multi-start needs 664 block steps at width two and
-585 at width three, 12% fewer steps at 40% more cost per step.
+Two is the smallest block whose rate rests on mu1/mu3 rather than on the
+mu1/mu2 gap.  Measured on the eight-seed dumbbell multi-start at h=1/32
+(1973 nodes, ``configs/dumbbell_sweep.cfg``; 2-vCPU Intel Xeon, one BLAS
+thread, medians of 7 interleaved runs): width one takes 433 steps in
+0.089 s, width two 329 steps in 0.096 s and width three 324 steps in
+0.127 s: a SuperLU solve costs about 76 us for two right-hand sides, and
+each block column adds three columns to the Rayleigh-Ritz basis.  Width
+one is cheaper there, but from a start tilted toward one bell of the
+symmetric h=1/16 dumbbell (mu2 - mu1 ~ 1.6e-7 mu1) it needs 16 steps
+against 10 for width two.
 """
 
 # Gram eigenvalues below this fraction of the largest mark a block column
@@ -60,7 +67,7 @@ class CGStagnationError(SolverError):
 
 
 class EigenConvergenceError(SolverError):
-    """Power iteration exhausted its cap; carries the best iterate."""
+    """The outer iteration exhausted its cap; carries the best iterate."""
 
     def __init__(self, message: str, best: "EigenPair"):
         super().__init__(message)
@@ -88,7 +95,7 @@ class EigenPair:
 
     The vector is W-normalized (phi' W phi = 1) and signed so that the
     entry of largest magnitude is positive.  ``iterations`` counts outer
-    steps: block steps on the factored path, power steps on the CG path;
+    steps: LOBPCG steps on the factored path, power steps on the CG path;
     each is one ``solve_spd`` call.
     """
 
@@ -175,31 +182,37 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     """Smallest eigenpair of A phi = mu W phi, W = diag(weights).
 
     Each outer step makes one ``solve_spd`` call and yields a W-normalized
-    iterate x with mu <- x' A x.  When A carries a sparse factor the step
-    is block inverse iteration: Y <- solve(A, W X) for a block X of
-    BLOCK_WIDTH columns (the start times the powers 0, 1, ... of an index
-    ramp from -1 to 1), then Rayleigh-Ritz on span(Y) in the W inner
-    product; x is the smallest Ritz vector and the Ritz vectors form the
-    next block.  Columns that turn out linearly dependent, as for one-node
-    grids, are dropped.  Otherwise the step is warm-started inverse power
-    iteration, y <- solve(A, W x), x <- y / sqrt(y' W y), and a
-    RuntimeWarning flags an observed convergence rate above 0.999, the
-    signature of a nearly degenerate leading eigenvalue.  Both stop once
-    the relative eigenvalue change drops below eig_rel_tol and the
-    measured residual below 10x that; past max_iterations steps,
-    EigenConvergenceError carries the last iterate.
+    iterate x with mu <- x' A x.  ``start`` (default all ones) must be a
+    finite vector of shape (n,) with a non-zero W-norm; anything else is a
+    ValueError.
+
+    When A carries a sparse factor the step is LOBPCG with the factor as
+    an exact preconditioner: X is a W-orthonormal block of BLOCK_WIDTH
+    columns (at first the start times the powers 0, 1, ... of an index
+    ramp from -1 to 1), Y <- solve(A, W X), P is the previous step's
+    update direction (none on the first step), and Rayleigh-Ritz on
+    span[X, Y, P] in the W inner product gives the next block; x is its
+    smallest Ritz vector.  The span contains X, so the Ritz value cannot
+    rise.  Linearly dependent columns, as for one-node grids or a start
+    that is already an eigenvector, are dropped.  Otherwise the step is
+    warm-started inverse power iteration, y <- solve(A, W x),
+    x <- y / sqrt(y' W y), and a RuntimeWarning flags an observed
+    convergence rate above 0.999, the signature of a nearly degenerate
+    leading eigenvalue.  Both stop once the relative eigenvalue change
+    drops below eig_rel_tol and the measured residual below 10x that;
+    past max_iterations steps, EigenConvergenceError names the method and
+    carries the last iterate.
     """
     mat = _matrix(A)
     w = np.asarray(weights, dtype=float)
     if not np.all(w > 0.0):
         raise ValueError("weight vector must be strictly positive")
     n = w.shape[0]
-    x = np.ones(n) if start is None else np.asarray(start, dtype=float).copy()
+    x = np.ones(n) if start is None else _start_vector(start, w)
     x = x / np.sqrt(float(x @ (w * x)))
     block = None
     if isinstance(A, StiffnessMatrix) and A.factor is not None:
-        ramp = np.linspace(-1.0, 1.0, n)
-        block = np.stack([x * ramp ** k for k in range(BLOCK_WIDTH)], axis=1)
+        block = _Lobpcg(x, w)
 
     mu = float("nan")
     mu_prev = None
@@ -212,9 +225,7 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     for it in range(1, opts.max_iterations + 1):
         iterations = it
         if block is not None:
-            block = _ritz_step(A, mat, w, block, opts)
-            ritz = block[:, 0]
-            x = ritz / np.sqrt(float(ritz @ (w * ritz)))
+            x, ax = block.step(A, mat, opts)
         else:
             rhs = w * x
             guess = x / mu_prev if mu_prev is not None else None
@@ -223,7 +234,7 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
             if scale <= 0.0:
                 raise SolverError("inverse iteration produced a degenerate iterate")
             x = y / np.sqrt(scale)
-        ax = mat @ x
+            ax = mat @ x
         wx = w * x
         mu = float(x @ ax)
         residual = float(np.linalg.norm(ax - mu * wx) / np.linalg.norm(wx))
@@ -258,24 +269,95 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     x.setflags(write=False)
     pair = EigenPair(eigenvalue=mu, vector=x, residual=residual, iterations=iterations)
     if not converged:
+        method = "power iteration" if block is None else "LOBPCG"
         raise EigenConvergenceError(
-            f"power iteration did not converge in {opts.max_iterations} steps "
+            f"{method} did not converge in {opts.max_iterations} steps "
             f"(residual {residual:.3e})",
             best=pair,
         )
     return pair
 
 
-def _ritz_step(A, mat, w: np.ndarray, block: np.ndarray,
-               opts: SolverOptions) -> np.ndarray:
-    """One block inverse iteration step: Y = A^-1 W X, W-orthonormalized,
-    then Rayleigh-Ritz; returns the Ritz vectors by ascending Ritz value."""
-    y = solve_spd(A, w[:, None] * block, opts.cg_rel_tol)
-    gram, basis = np.linalg.eigh(y.T @ (w[:, None] * y))
-    if not gram[-1] > 0.0:
+def _start_vector(start, w: np.ndarray) -> np.ndarray:
+    x = np.array(start, dtype=float)
+    if x.shape != w.shape:
+        raise ValueError(f"start vector must have shape {w.shape}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("start vector must be finite")
+    if not float(x @ (w * x)) > 0.0:
+        raise ValueError("start vector must have a non-zero W-norm")
+    return x
+
+
+def _w_basis(gram: np.ndarray) -> np.ndarray:
+    """Coefficients B with B' gram B = I over the numerically independent
+    columns; Gram eigenvalues below _RANK_TOL of the largest are dropped."""
+    values, vectors = np.linalg.eigh(gram)
+    if not values[-1] > 0.0:
         raise SolverError("inverse iteration produced a degenerate iterate")
-    keep = gram > _RANK_TOL * gram[-1]
-    z = y @ (basis[:, keep] / np.sqrt(gram[keep]))
-    projected = z.T @ (mat @ z)
-    _, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
-    return z @ coeffs
+    keep = values > _RANK_TOL * values[-1]
+    return vectors[:, keep] / np.sqrt(values[keep])
+
+
+class _Lobpcg:
+    """Block state of the factored path.
+
+    One column-major buffer holds S = [X, Y, P], ``width`` columns each:
+    the W-orthonormal block X, then Y = A^-1 W X, then the previous update
+    direction P, which is zero before the first step; a second buffer
+    holds W S.  Products that write n-row blocks are taken transposed,
+    (c' S')', so that they come out column-major too.
+    """
+
+    def __init__(self, x: np.ndarray, w: np.ndarray):
+        self.w = w[:, None]
+        ramp = np.linspace(-1.0, 1.0, x.shape[0])
+        block = np.stack([x * ramp ** k for k in range(BLOCK_WIDTH)], axis=1)
+        self._reset(block @ _w_basis(block.T @ (self.w * block)), None)
+
+    def _reset(self, block: np.ndarray, direction: np.ndarray | None) -> None:
+        n, self.width = block.shape
+        self.s = np.zeros((n, 3 * self.width), order="F")
+        self.ws = np.empty_like(self.s)
+        self.s[:, :self.width] = block
+        if direction is not None:
+            self.s[:, 2 * self.width:] = direction
+
+    def step(self, A, mat, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+        """One LOBPCG step; returns the smallest Ritz vector x, W-normalized,
+        and A x."""
+        k = self.width
+        s = self.s
+        x_block = s[:, :k]
+        wx = self.w * x_block
+        s[:, k:2 * k] = solve_spd(A, wx, opts.cg_rel_tol)
+        # W-orthogonalize Y and P against X, so that the Gram matrices keep
+        # the small components that carry the update
+        rest = s[:, k:]
+        rest -= ((wx.T @ rest).T @ x_block.T).T
+        np.multiply(self.w, s, out=self.ws)
+        # A S by an explicit product: taking A Y = W X from the solve instead
+        # trusts its backward error and stalls the residual near 1e-5
+        a_s = mat @ s
+        gram_w = s.T @ self.ws
+        gram_a = s.T @ a_s
+        # unit W-norm columns before the Gram eigh; exactly-zero columns, as
+        # P before the first step or a Y inside span(X), get scale 0 and are
+        # dropped with the rank-deficient rest
+        norms = np.sqrt(np.diag(gram_w))
+        unit = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        outer = unit[:, None] * unit
+        basis = _w_basis(gram_w * outer)
+        _, coeffs = np.linalg.eigh(basis.T @ (gram_a * outer) @ basis)
+        c = (unit[:, None] * basis) @ coeffs[:, :k]
+        new_x = (c.T @ s.T).T
+        new_p = (c[k:].T @ rest.T).T
+        ax = a_s @ c[:, 0]
+        if c.shape[1] == k:
+            s[:, :k] = new_x
+            s[:, 2 * k:] = new_p
+        else:
+            self._reset(new_x, new_p)
+        x = new_x[:, 0]
+        norm = np.sqrt(float(x @ (self.w[:, 0] * x)))
+        return x / norm, ax / norm

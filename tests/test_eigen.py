@@ -166,6 +166,32 @@ def test_weight_must_be_positive():
         mo.first_eigenpair(a, np.zeros(a.shape[0]))
 
 
+def test_nonconvergence_names_the_method():
+    g, a = _laplacian(1.0 / 8)
+    w = np.ones(g.node_count)
+    one_step = mo.SolverOptions(max_iterations=1)
+    with pytest.raises(EigenConvergenceError, match="^LOBPCG did not converge"):
+        mo.first_eigenpair(a, w, one_step)
+    with pytest.raises(EigenConvergenceError, match="^power iteration did not converge"):
+        mo.first_eigenpair(a.matrix, w, one_step)
+
+
+@pytest.mark.parametrize("factored", [True, False])
+@pytest.mark.parametrize("start, message", [
+    (np.ones(3), r"start vector must have shape \(49,\), got \(3,\)"),
+    (np.ones((49, 1)), r"start vector must have shape \(49,\), got \(49, 1\)"),
+    (np.full(49, np.nan), "start vector must be finite"),
+    (np.zeros(49), "start vector must have a non-zero W-norm"),
+])
+def test_start_vector_is_validated(factored, start, message):
+    g, a = _laplacian(1.0 / 8)
+    assert g.node_count == 49
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            mo.first_eigenpair(a if factored else a.matrix, np.ones(49), start=start)
+
+
 # ---------------------------------------------------------------------------
 # the factored backend against conjugate gradients and a dense oracle
 
@@ -268,7 +294,7 @@ def test_cg_solve_rejects_block_rhs():
 
 
 # ---------------------------------------------------------------------------
-# block inverse iteration on near-degenerate factored problems
+# block LOBPCG on near-degenerate factored problems
 
 def _symmetric_dumbbell():
     g = mo.build_grid(mo.dumbbell_spec(1.0 / 16))
@@ -301,3 +327,21 @@ def test_block_path_needs_a_fifth_of_the_power_steps():
     power = mo.first_eigenpair(a.matrix, w, mo.SolverOptions(max_iterations=5000))
     assert 5 * block.iterations <= power.iterations
     assert abs(block.eigenvalue - power.eigenvalue) <= 1e-9 * power.eigenvalue
+
+
+def test_lobpcg_needs_at_most_fifteen_steps_on_the_dumbbell():
+    g = mo.build_grid(mo.dumbbell_spec(1.0 / 32))
+    a = mo.assemble_stiffness(g)
+    assert a.factor is not None
+    assert mo.first_eigenpair(a, np.ones(g.node_count)).iterations <= 15
+
+
+def test_lobpcg_from_the_exact_eigenvector_drops_the_vanished_column():
+    # A^-1 W x is parallel to x, so Y loses a column to W-orthogonalization
+    g, a = _laplacian(1.0 / 8)
+    w = np.linspace(0.5, 2.0, g.node_count)
+    values, vectors = scipy.linalg.eigh(a.to_dense(), np.diag(w))
+    pair = mo.first_eigenpair(a, w, start=vectors[:, 0])
+    assert pair.iterations <= 2
+    assert np.all(np.isfinite(pair.vector)) and np.isfinite(pair.residual)
+    assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
