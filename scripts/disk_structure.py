@@ -9,7 +9,6 @@ its distance from the center, and the level-curve count.
 import argparse
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -27,11 +26,7 @@ def main() -> None:
     print(f"disk grid: {grid.node_count} nodes at h = {args.h}")
 
     start = time.time()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solutions = mo.multi_start(spec, range(args.seeds),
-                                   opts=mo.SolverOptions(max_iterations=200_000),
-                                   mu_rtol=1e-6)
+    solutions = mo.multi_start(spec, range(args.seeds), mu_rtol=1e-6)
     print(f"{args.seeds} seeds -> {len(solutions)} solution class(es) "
           f"in {time.time() - start:.1f}s")
 

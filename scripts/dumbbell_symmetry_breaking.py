@@ -10,7 +10,6 @@ pairing.
 import argparse
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -30,11 +29,7 @@ def main() -> None:
           f"({spec.rho_min}, {spec.rho_max})")
 
     start = time.time()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solutions = mo.multi_start(spec, range(args.seeds),
-                                   opts=mo.SolverOptions(max_iterations=200_000),
-                                   mu_rtol=1e-6)
+    solutions = mo.multi_start(spec, range(args.seeds), mu_rtol=1e-6)
     print(f"{args.seeds} seeds -> {len(solutions)} solution class(es) "
           f"in {time.time() - start:.1f}s")
 

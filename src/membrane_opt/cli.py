@@ -1,7 +1,9 @@
 """Configuration parsing, experiment orchestration, and file exports.
 
 Configs are plain ``key = value`` text, one pair per line, ``#`` comments
-allowed; unknown keys are rejected.  Subcommands:
+allowed; unknown keys are rejected.  One table, ``_KEYS``, gives each key
+its parser and default; the parsed table, with the density box in place of
+``A``/``lam``/``Lam``, is the payload of the config hash.  Subcommands:
 
     solve   single run from the uniform density; exports fields, trace,
             partition, contours, and PGM images
@@ -22,7 +24,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,8 +32,10 @@ import numpy as np
 
 from .eigen import SolverError, SolverOptions, first_eigenpair
 from .grid import (
+    Disk,
     Grid,
     GridSpec,
+    Rectangle,
     annulus_spec,
     box_spec,
     build_grid,
@@ -69,18 +73,14 @@ SUBCOMMANDS = ("solve", "oracle", "sweep", "check", "plate")
 
 # background bump of the curved run in check on a flat config
 _CHECK_BUMP = 0.3
-_BOOL_KEYS = ("export_fields", "export_trace", "export_contours", "export_images")
-_KNOWN_KEYS = {
-    "subcommand", "d", "shape", "h", "side", "bbox", "center", "radius",
-    "r_in", "r_out", "bell", "neck_length", "neck_width", "bump_amplitude",
-    "A", "lam", "Lam", "M", "n", "p",
-    "cg_tol", "eig_tol", "max_power_iterations", "max_alternations",
-    "seeds", "out", "check_levels", "oracle_cap", *_BOOL_KEYS,
-}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _parse_text(key: str, text: str) -> str:
+    return text
 
 
 def _parse_number(key: str, text: str) -> float:
@@ -116,6 +116,54 @@ def _parse_ints(key: str, text: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part.strip()) for part in text.split(","))
 
 
+def _parse_bbox(key: str, text: str) -> tuple[tuple[float, float], ...]:
+    flat = _parse_floats(key, text)
+    if len(flat) % 2:
+        raise ConfigError(f"key '{key}': needs an even number of entries (lo,hi per axis)")
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+# Every config key with its parser and its default text.  A default of None
+# leaves an absent key None: parse_config then fills p, n and cg_tol from
+# other keys, and A, lam and Lam are alternatives.  _REQUIRED keys must be
+# given.
+_REQUIRED = object()
+_KEYS = {
+    "subcommand": (_parse_text, "solve"),
+    "d": (_parse_int, "2"),
+    "shape": (_parse_text, _REQUIRED),
+    "h": (_parse_number, _REQUIRED),
+    "side": (_parse_number, "1.0"),
+    "bbox": (_parse_bbox, None),
+    "center": (_parse_floats, None),
+    "radius": (_parse_number, "1.0"),
+    "r_in": (_parse_number, None),
+    "r_out": (_parse_number, None),
+    "bell": (_parse_number, "1.0"),
+    "neck_length": (_parse_number, "0.5"),
+    "neck_width": (_parse_number, "0.125"),
+    "bump_amplitude": (_parse_number, "0.0"),
+    "A": (_parse_number, None),
+    "lam": (_parse_number, None),
+    "Lam": (_parse_number, None),
+    "M": (_parse_number, _REQUIRED),
+    "n": (_parse_int, None),
+    "p": (_parse_int, None),
+    "cg_tol": (_parse_number, None),
+    "eig_tol": (_parse_number, "1e-9"),
+    "max_power_iterations": (_parse_int, "500"),
+    "max_alternations": (_parse_int, "200"),
+    "seeds": (_parse_ints, "0"),
+    "out": (_parse_text, "out"),
+    "check_levels": (_parse_int, "3"),
+    "oracle_cap": (_parse_int, "20"),
+    "export_fields": (_parse_bool, "true"),
+    "export_trace": (_parse_bool, "true"),
+    "export_contours": (_parse_bool, "true"),
+    "export_images": (_parse_bool, "true"),
+}
+
+
 def _smooth_bump(center: np.ndarray, radius: float, amplitude: float):
     """Compactly supported mollifier bump, value ``amplitude`` at the center."""
     def w(point: np.ndarray) -> float:
@@ -128,23 +176,31 @@ def _smooth_bump(center: np.ndarray, radius: float, amplitude: float):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully validated run description with its grid and problem built."""
+    """Fully validated run description with its problem built.
 
-    subcommand: str
-    grid_spec: GridSpec
-    grid: Grid
+    ``raw`` is the parsed key table, with the density box ``rho_min``/
+    ``rho_max`` in place of ``A``/``lam``/``Lam``; it is what
+    ``config_hash`` hashes.  The fields after it are its entries of the
+    same name.
+    """
+
     problem: ProblemSpec
     solver: SolverOptions
+    raw: dict
+    subcommand: str
     max_alternations: int
     seeds: tuple[int, ...]
-    out_dir: str
+    out: str
     export_fields: bool
     export_trace: bool
     export_contours: bool
     export_images: bool
     check_levels: int
     oracle_cap: int
-    raw: dict
+
+    @property
+    def grid(self) -> Grid:
+        return self.problem.grid
 
     @property
     def config_hash(self) -> str:
@@ -170,59 +226,32 @@ class RunConfig:
 
 
 def _build_grid_spec(values: dict) -> GridSpec:
+    """Flat spec of the configured shape; ``_with_bump`` curves it."""
     d = values["d"]
     shape = values["shape"]
     h = values["h"]
-    amplitude = values["bump_amplitude"]
-    background = None
-    if amplitude != 0.0:
-        if d != 2:
-            raise ConfigError(f"key 'bump_amplitude': needs d = 2, got d = {d}")
-        if shape == "square":
-            side = values["side"]
-            center = np.full(d, side / 2.0)
-            radius = side / 2.0
-        elif shape == "rectangle":
-            bbox = values["bbox"] or ()
-            center = np.array([(lo + hi) / 2.0 for lo, hi in bbox])
-            radius = min(((hi - lo) / 2.0 for lo, hi in bbox), default=1.0)
-        elif shape == "disk":
-            center = np.asarray(values["center"] or (0.0,) * d)
-            radius = values["radius"]
-        else:
-            # the remaining shapes reject a background below; any values do
-            center = np.zeros(d)
-            radius = 1.0
-        background = _smooth_bump(center, radius, amplitude)
-
+    center = values["center"] or (0.0,) * d
     if shape == "square":
-        return square_spec(h, side=values["side"], dimension=d, background=background)
+        return square_spec(h, side=values["side"], dimension=d)
     if shape == "rectangle":
         if values["bbox"] is None:
             raise ConfigError("key 'bbox': required for shape rectangle")
-        spec = box_spec(h, values["bbox"], background=background)
+        spec = box_spec(h, values["bbox"])
         if spec.dimension != d:
             raise ConfigError(f"key 'bbox': gives {spec.dimension} axes, d = {d}")
         return spec
     if shape == "disk":
-        center = values["center"] or (0.0,) * d
         if len(center) != d:
             raise ConfigError(f"key 'center': needs {d} components")
-        return disk_spec(h, radius=values["radius"], center=center, dimension=d,
-                         background=background)
+        return disk_spec(h, radius=values["radius"], center=center, dimension=d)
     if shape == "annulus":
         if values["r_in"] is None or values["r_out"] is None:
             raise ConfigError("keys 'r_in'/'r_out': required for shape annulus")
-        center = values["center"] or (0.0,) * d
-        if background is not None:
-            raise ConfigError("key 'bump_amplitude': not supported on annulus")
         return annulus_spec(h, values["r_in"], values["r_out"], center=center,
                             dimension=d)
     if shape == "dumbbell":
         if d != 2:
             raise ConfigError("key 'shape': dumbbell requires d = 2")
-        if background is not None:
-            raise ConfigError("key 'bump_amplitude': not supported on dumbbell")
         return dumbbell_spec(h, bell=values["bell"],
                              neck_length=values["neck_length"],
                              neck_width=values["neck_width"])
@@ -230,6 +259,25 @@ def _build_grid_spec(values: dict) -> GridSpec:
         f"key 'shape': unknown shape {shape!r} "
         "(square | rectangle | disk | annulus | dumbbell)"
     )
+
+
+def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
+    """``spec`` under a smooth background bump of the given amplitude (flat
+    for 0): on a disk its center and radius, on a box the box midpoint and
+    half the shortest side."""
+    if amplitude == 0.0:
+        return spec
+    if spec.dimension != 2:
+        raise ConfigError(f"key 'bump_amplitude': needs d = 2, got d = {spec.dimension}")
+    if isinstance(spec.shape, Disk):
+        center, radius = spec.shape.center, spec.shape.radius
+    elif isinstance(spec.shape, Rectangle):
+        center = [(lo + hi) / 2.0 for lo, hi in spec.bounds]
+        radius = min((hi - lo) / 2.0 for lo, hi in spec.bounds)
+    else:
+        raise ConfigError("key 'bump_amplitude': not supported on "
+                          f"{type(spec.shape).__name__.lower()}")
+    return replace(spec, background=_smooth_bump(np.asarray(center), radius, amplitude))
 
 
 def parse_config(text: str, subcommand: str | None = None,
@@ -249,7 +297,7 @@ def parse_config(text: str, subcommand: str | None = None,
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -257,66 +305,51 @@ def parse_config(text: str, subcommand: str | None = None,
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
         pairs[key] = value
 
-    sub = subcommand or pairs.get("subcommand", "solve")
-    if sub not in SUBCOMMANDS:
-        raise ConfigError(f"key 'subcommand': unknown subcommand {sub!r}")
-    if subcommand and "subcommand" in pairs and pairs["subcommand"] != subcommand:
+    if subcommand and pairs.setdefault("subcommand", subcommand) != subcommand:
         raise ConfigError(
             f"key 'subcommand': config says {pairs['subcommand']!r}, "
             f"command line says {subcommand!r}"
         )
+    for key, override in (("out", out_override), ("seeds", seeds_override)):
+        if override:
+            pairs[key] = override
 
-    for required in ("shape", "h", "M"):
-        if required not in pairs:
-            raise ConfigError(f"key '{required}': required but missing")
+    values: dict = {}
+    for key, (parse, default) in _KEYS.items():
+        given = pairs.get(key, default)
+        if given is _REQUIRED:
+            raise ConfigError(f"key '{key}': required but missing")
+        values[key] = None if given is None else parse(key, given)
 
-    has_exponent = "A" in pairs
-    has_box = "lam" in pairs or "Lam" in pairs
-    if has_exponent and has_box:
+    sub = values["subcommand"]
+    if sub not in SUBCOMMANDS:
+        raise ConfigError(f"key 'subcommand': unknown subcommand {sub!r}")
+    bound_exponent, lam, big_lam = (values.pop(key) for key in ("A", "lam", "Lam"))
+    if bound_exponent is not None and (lam is not None or big_lam is not None):
         raise ConfigError("keys 'A'/'lam': give either A or explicit (lam, Lam), not both")
-    if not has_exponent and not ("lam" in pairs and "Lam" in pairs):
+    if bound_exponent is None and (lam is None or big_lam is None):
         raise ConfigError("key 'A': required (or give both lam and Lam)")
 
-    values: dict = {
-        "d": _parse_int("d", pairs.get("d", "2")),
-        "shape": pairs["shape"],
-        "h": _parse_number("h", pairs["h"]),
-        "side": _parse_number("side", pairs.get("side", "1.0")),
-        "bbox": None,
-        "center": None,
-        "radius": _parse_number("radius", pairs.get("radius", "1.0")),
-        "r_in": _parse_number("r_in", pairs["r_in"]) if "r_in" in pairs else None,
-        "r_out": _parse_number("r_out", pairs["r_out"]) if "r_out" in pairs else None,
-        "bell": _parse_number("bell", pairs.get("bell", "1.0")),
-        "neck_length": _parse_number("neck_length", pairs.get("neck_length", "0.5")),
-        "neck_width": _parse_number("neck_width", pairs.get("neck_width", "0.125")),
-        "bump_amplitude": _parse_number("bump_amplitude", pairs.get("bump_amplitude", "0.0")),
-        "M": _parse_number("M", pairs["M"]),
-    }
-    if "bbox" in pairs:
-        flat = _parse_floats("bbox", pairs["bbox"])
-        if len(flat) % 2:
-            raise ConfigError("key 'bbox': needs an even number of entries (lo,hi per axis)")
-        values["bbox"] = tuple(
-            (flat[2 * k], flat[2 * k + 1]) for k in range(len(flat) // 2)
-        )
-    if "center" in pairs:
-        values["center"] = _parse_floats("center", pairs["center"])
-
-    p = _parse_int("p", pairs.get("p", "4" if sub == "plate" else "2"))
+    if values["p"] is None:
+        values["p"] = 4 if sub == "plate" else 2
+    p = values["p"]
     if p not in (2, 4):
         raise ConfigError(f"key 'p': operator order must be 2 or 4, got {p}")
     if sub == "plate" and p != 4:
         raise ConfigError("key 'p': the plate subcommand is the order-4 run, p must be 4")
     if p == 4 and sub not in ("plate", "solve"):
         raise ConfigError(f"key 'p': order 4 is only valid for solve or plate, not {sub}")
-    n = _parse_int("n", pairs["n"]) if "n" in pairs else (2 if p == 2 else 4)
+    if values["n"] is None:
+        values["n"] = 2 if p == 2 else 4
+    n = values["n"]
     if n < 2:
         raise ConfigError(f"key 'n': exponent must be >= 2, got {n}")
+    if values["cg_tol"] is None:
+        values["cg_tol"] = 1e-12 if p == 4 else 1e-10
 
     try:
-        grid_spec = _build_grid_spec(values)
-        grid = build_grid(grid_spec)
+        flat_spec = _build_grid_spec(values)
+        grid = build_grid(_with_bump(flat_spec, values["bump_amplitude"]))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -324,20 +357,16 @@ def parse_config(text: str, subcommand: str | None = None,
     if sub == "check":
         # the conformal-invariance report reruns the problem on a curved copy
         try:
-            _build_grid_spec({**values,
-                              "bump_amplitude": values["bump_amplitude"] or _CHECK_BUMP})
+            _with_bump(flat_spec, values["bump_amplitude"] or _CHECK_BUMP)
         except ConfigError as exc:
             raise ConfigError(f"check needs a curved background: {exc}") from exc
 
-    if has_exponent:
-        bound_exponent = _parse_number("A", pairs["A"])
+    if bound_exponent is not None:
         try:
             lam, big_lam = conformal_bounds(bound_exponent, n)
         except ValueError as exc:
             raise ConfigError(f"key 'A': {exc}") from exc
-    else:
-        lam = _parse_number("lam", pairs["lam"])
-        big_lam = _parse_number("Lam", pairs["Lam"])
+    values.update(rho_min=lam, rho_max=big_lam)
 
     try:
         problem = ProblemSpec(grid=grid, rho_min=lam, rho_max=big_lam,
@@ -345,63 +374,26 @@ def parse_config(text: str, subcommand: str | None = None,
     except ValueError as exc:
         raise ConfigError(f"key 'M': {exc}") from exc
 
-    default_cg = "1e-12" if p == 4 else "1e-10"
     try:
-        solver = SolverOptions(
-            cg_rel_tol=_parse_number("cg_tol", pairs.get("cg_tol", default_cg)),
-            eig_rel_tol=_parse_number("eig_tol", pairs.get("eig_tol", "1e-9")),
-            max_iterations=_parse_int("max_power_iterations",
-                                      pairs.get("max_power_iterations", "500")),
-        )
+        solver = SolverOptions(cg_rel_tol=values["cg_tol"], eig_rel_tol=values["eig_tol"],
+                               max_iterations=values["max_power_iterations"])
     except ValueError as exc:
         raise ConfigError(f"solver options: {exc}") from exc
-    max_alternations = _parse_int("max_alternations", pairs.get("max_alternations", "200"))
-    if max_alternations < 1:
+    if values["max_alternations"] < 1:
         raise ConfigError("key 'max_alternations': must be >= 1")
-
-    seeds_text = seeds_override or pairs.get("seeds", "0")
-    seeds = _parse_ints("seeds", seeds_text)
-    if not seeds:
-        raise ConfigError("key 'seeds': need at least one seed")
-    if min(seeds) < 0:
-        raise ConfigError(f"key 'seeds': seeds must be >= 0, got {min(seeds)}")
-    out_dir = out_override or pairs.get("out", "out")
-
-    exports = {key: _parse_bool(key, pairs.get(key, "true")) for key in _BOOL_KEYS}
-    check_levels = _parse_int("check_levels", pairs.get("check_levels", "3"))
-    if check_levels < 2:
+    if min(values["seeds"]) < 0:
+        raise ConfigError(f"key 'seeds': seeds must be >= 0, got {min(values['seeds'])}")
+    if values["check_levels"] < 2:
         raise ConfigError("key 'check_levels': need at least 2 refinement levels")
-    oracle_cap = _parse_int("oracle_cap", pairs.get("oracle_cap", "20"))
 
     if sub == "oracle":
         try:
-            check_oracle_input(grid, oracle_cap)
+            check_oracle_input(grid, values["oracle_cap"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    raw = {
-        "subcommand": sub,
-        **values,
-        "rho_min": lam,
-        "rho_max": big_lam,
-        "n": n,
-        "p": p,
-        "cg_tol": solver.cg_rel_tol,
-        "eig_tol": solver.eig_rel_tol,
-        "max_power_iterations": solver.max_iterations,
-        "max_alternations": max_alternations,
-        "seeds": list(seeds),
-        "out": out_dir,
-        "check_levels": check_levels,
-        "oracle_cap": oracle_cap,
-        **exports,
-    }
-    return RunConfig(
-        subcommand=sub, grid_spec=grid_spec, grid=grid, problem=problem,
-        solver=solver, max_alternations=max_alternations, seeds=seeds,
-        out_dir=out_dir, check_levels=check_levels, oracle_cap=oracle_cap,
-        raw=raw, **{k: exports[k] for k in _BOOL_KEYS},
-    )
+    settings = {f.name: values[f.name] for f in fields(RunConfig) if f.name in values}
+    return RunConfig(problem=problem, solver=solver, raw=values, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +618,8 @@ def _run_check(config: RunConfig, out: Path) -> int:
 
     # conformal invariance: bump background against its flat reweighting
     amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
-    flat_spec = config.grid_spec
-    if flat_spec.background is not None:
-        flat_spec = GridSpec(flat_spec.dimension, flat_spec.spacing,
-                             flat_spec.bounds, flat_spec.shape, None)
-    curved_spec = _build_grid_spec({**config.raw, "bump_amplitude": amplitude})
-    curved = build_grid(curved_spec)
+    flat_spec = replace(config.grid.spec, background=None)
+    curved = build_grid(_with_bump(flat_spec, amplitude))
     flat = build_grid(flat_spec)
 
     fraction = config.problem.mass / domain_volume(flat)
@@ -680,8 +668,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     def problem_at(h: float) -> ProblemSpec:
         if flat_config and h == levels[0]:
             return config.problem
-        spec = GridSpec(flat_spec.dimension, h, flat_spec.bounds, flat_spec.shape)
-        g = build_grid(spec)
+        g = build_grid(replace(flat_spec, spacing=h))
         return ProblemSpec(grid=g, rho_min=config.problem.rho_min,
                            rho_max=config.problem.rho_max,
                            mass=fraction * domain_volume(g),
@@ -731,7 +718,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute a validated config; writes artifacts, returns the exit code."""
-    out = Path(config.out_dir)
+    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         if config.subcommand in ("solve", "plate"):

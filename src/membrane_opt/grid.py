@@ -317,8 +317,9 @@ def build_grid(spec: GridSpec) -> Grid:
 
     Interior nodes are exactly the lattice points whose center satisfies
     the shape predicate and which do not lie on the lattice boundary of
-    the bounding box.  Raises on an empty interior; records a warning on
-    the grid if a shape declared connected discretizes disconnected.
+    the bounding box.  Raises on an empty interior and on a background
+    weight e^(2w) that overflows or underflows; records a warning on the
+    grid if a shape declared connected discretizes disconnected.
     """
     d, h = spec.dimension, spec.spacing
     cells = []
@@ -353,7 +354,13 @@ def build_grid(spec: GridSpec) -> Grid:
         w = np.array([float(spec.background(p)) for p in coords])
         if not np.all(np.isfinite(w)):
             raise ValueError("background exponent field evaluates non-finite")
-        e2w = np.exp(2.0 * w)
+        with np.errstate(over="ignore", under="ignore"):
+            e2w = np.exp(2.0 * w)
+        if np.any(np.isinf(e2w) | (e2w == 0.0)):
+            raise ValueError(
+                "background weight e^(2w) overflows or underflows for w in "
+                f"[{float(np.min(w))!r}, {float(np.max(w))!r}]"
+            )
     else:
         e2w = np.ones(n)
 

@@ -48,8 +48,6 @@ class StiffnessMatrix:
     """Sparse symmetric positive definite stencil matrix, entries ~ h^(-p)."""
 
     matrix: sp.csr_matrix
-    order: int
-    spacing: float
     dimension: int
 
     @property
@@ -162,8 +160,7 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     mat.data *= grid.spacing ** float(-order)
     mat.sort_indices()
     mat.data.setflags(write=False)
-    return StiffnessMatrix(matrix=mat, order=order, spacing=grid.spacing,
-                           dimension=grid.dimension)
+    return StiffnessMatrix(matrix=mat, dimension=grid.dimension)
 
 
 def assemble_weight(grid: Grid, rho) -> WeightVector:

@@ -45,6 +45,8 @@ MAX_ITER = "max-iter"
 
 _MASS_RTOL = 1e-12
 _FEAS_RTOL = 1e-12
+# largest share of the nodes on which the low regions of one class may differ
+_SET_TOL = 0.01
 
 
 def conformal_bounds(bound_exponent: float, exponent: int = 2) -> tuple[float, float]:
@@ -422,17 +424,16 @@ class Solution:
 
 
 def classify_solutions(seeds, results, node_count: int,
-                       mu_rtol: float = 1e-8,
-                       set_tol: float = 0.01) -> tuple[list[Solution], list[int]]:
+                       mu_rtol: float = 1e-8) -> tuple[list[Solution], list[int]]:
     """Group per-seed results into classes; returns (classes, label per seed).
 
     Two runs share a class when their eigenvalues agree relatively to
-    mu_rtol and their low regions differ on at most set_tol of the nodes.
+    mu_rtol and their low regions differ on at most 1% of the nodes.
     """
     firsts: list[tuple] = []  # (seed, result) of each class's first member
     members: list[list[int]] = []
     labels: list[int] = []
-    max_diff = set_tol * node_count
+    max_diff = _SET_TOL * node_count
     for seed, result in zip(seeds, results):
         _, pair, partition, _ = result
         for k, (_, (_, rep_pair, rep_partition, _)) in enumerate(firsts):
@@ -454,7 +455,7 @@ def classify_solutions(seeds, results, node_count: int,
 
 def multi_start(spec: ProblemSpec, seeds, opts: SolverOptions = SolverOptions(),
                 max_alternations: int = 200,
-                mu_rtol: float = 1e-8, set_tol: float = 0.01) -> list[Solution]:
+                mu_rtol: float = 1e-8) -> list[Solution]:
     """Independent seeded runs, deduplicated into solution classes.
 
     Deterministic for a given seed list: runs execute in seed order and
@@ -466,5 +467,5 @@ def multi_start(spec: ProblemSpec, seeds, opts: SolverOptions = SolverOptions(),
     results = [minimize(spec, init=seed, opts=opts,
                         max_alternations=max_alternations) for seed in seeds]
     classes, _ = classify_solutions(seeds, results, spec.grid.node_count,
-                                    mu_rtol=mu_rtol, set_tol=set_tol)
+                                    mu_rtol=mu_rtol)
     return classes

@@ -43,11 +43,7 @@ def disk_experiment():
     start = time.time()
     grid = mo.build_grid(mo.disk_spec(1.0 / 64))
     spec = mo.ProblemSpec(grid=grid, rho_min=0.25, rho_max=4.0, mass=math.pi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solutions = mo.multi_start(spec, range(8),
-                                   opts=mo.SolverOptions(max_iterations=200_000),
-                                   mu_rtol=CLASS_MU_RTOL)
+    solutions = mo.multi_start(spec, range(8), mu_rtol=CLASS_MU_RTOL)
     return Experiment(solutions, grid, spec, time.time() - start)
 
 
@@ -57,11 +53,7 @@ def dumbbell_experiment():
     grid = mo.build_grid(mo.dumbbell_spec(1.0 / 32))
     spec = mo.ProblemSpec.from_exponent_bound(grid, math.log(2.0),
                                               mass=mo.domain_volume(grid))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        solutions = mo.multi_start(spec, range(8),
-                                   opts=mo.SolverOptions(max_iterations=200_000),
-                                   mu_rtol=CLASS_MU_RTOL)
+    solutions = mo.multi_start(spec, range(8), mu_rtol=CLASS_MU_RTOL)
     return Experiment(solutions, grid, spec, time.time() - start)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import membrane_opt as mo
+from membrane_opt import cli
 from membrane_opt.cli import (
     ConfigError,
     contour_csv,
@@ -442,3 +443,46 @@ def test_grid_csv_memory_does_not_grow_with_rows(tmp_path):
     assert peak < 2_000_000
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert len(lines) == len(HEADER) + 1 + g.node_count
+
+
+# ---------------------------------------------------------------------------
+# the config key table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CURVED_DISK = ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\n"
+               "M = 3.0\nbump_amplitude = 0.3\ncheck_levels = 2\n")
+
+
+@pytest.mark.parametrize("text, subcommand, digest", [
+    ((CONFIGS / "disk.cfg").read_text(), "solve", "99b4b1eec118fb6e"),
+    ((CONFIGS / "dumbbell_sweep.cfg").read_text(), "sweep", "5817ad2b9a429cdc"),
+    ((CONFIGS / "plate_4d.cfg").read_text(), "plate", "fabef2f62c6150a2"),
+    (CURVED_DISK, "check", "9606fbbd8187af10"),
+], ids=["disk", "dumbbell-sweep", "plate-4d", "curved-disk-check"])
+def test_config_hash_is_pinned(text, subcommand, digest):
+    # every artifact header carries this hash of the parsed keys, so a
+    # change to the parser must leave it alone
+    assert parse_config(text, subcommand=subcommand).config_hash == digest
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert sorted(documented) == sorted(cli._KEYS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude, mass", [(400, 3), (-400, 0.3)],
+                         ids=["overflow", "underflow"])
+def test_extreme_background_weight_exits_1_without_output(tmp_path, capsys,
+                                                          amplitude, mass):
+    # e^(2w) is inf or 0 in double precision at w = +-400
+    cfg = _write_cfg(tmp_path, "shape = disk\nh = 1/8\nlam = 0.5\nLam = 2\n"
+                               f"M = {mass}\nbump_amplitude = {amplitude}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid construction failed: background weight")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

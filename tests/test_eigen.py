@@ -260,7 +260,7 @@ def test_backend_rule_factors_small_2d_grids_only():
     # the rule is read without building these factors
     config = parse_config(_CONFIGS.joinpath("plate_4d.cfg").read_text(), subcommand="plate")
     plate_4d = config.problem.stiffness
-    assert plate_4d.order == 4 and plate_4d.dimension == 4 and not plate_4d.factored
+    assert config.problem.order == 4 and plate_4d.dimension == 4 and not plate_4d.factored
     big = mo.assemble_stiffness(mo.build_grid(mo.square_spec(1.0 / 130)))
     assert big.dimension == 2 and big.shape[0] > FACTOR_MAX_NODES
     assert not big.factored
