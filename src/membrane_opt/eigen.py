@@ -121,7 +121,11 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
     cap (or meeting a direction of non-positive curvature, the signature
     of an ill-assembled matrix) raises CGStagnationError.  Conjugate
     gradients take a single right-hand side and reject a 2-D ``b`` with
-    ValueError.
+    ValueError.  The loop updates its vectors in place, so a step allocates
+    only the product A p (and A x at a refresh), and every update rounds
+    exactly as the textbook loop (``x += alpha * p``, ``r -= alpha * ap``,
+    ``p = r + beta * p``, ``r = b - A x`` every 50 steps) does: the
+    iterates are the textbook loop's to the bit.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -146,6 +150,7 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
         x = np.array(x0, dtype=float)
         r = b - mat @ x
     p = r.copy()
+    tmp = np.empty_like(b)
     rs = float(r @ r)
     target = tol * norm_b
     cap = 10 * b.shape[0]
@@ -161,13 +166,18 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
                 f"CG stagnation: non-positive curvature at iteration {it}"
             )
         alpha = rs / p_ap
-        x += alpha * p
-        r -= alpha * ap
+        # each in-place update rounds as its textbook form does:
+        # x += alpha p, r -= alpha A p, p = r + beta p
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        ap *= alpha
+        r -= ap
         if (it + 1) % 50 == 0:
             # periodic true-residual refresh against floating-point drift
-            r = b - mat @ x
+            np.subtract(b, mat @ x, out=r)
         rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     if np.sqrt(rs) <= target:
         return x
@@ -182,9 +192,10 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     """Smallest eigenpair of A phi = mu W phi, W = diag(weights).
 
     Each outer step makes one ``solve_spd`` call and yields a W-normalized
-    iterate x with mu <- x' A x.  ``start`` (default all ones) must be a
-    finite vector of shape (n,) with a non-zero W-norm; anything else is a
-    ValueError.
+    iterate x with mu <- x' A x.  ``weights`` must be a finite, strictly
+    positive vector of shape (n,), n the order of A, and ``start`` (default
+    all ones) a finite vector of shape (n,) with a non-zero W-norm; anything
+    else is a ValueError raised before any solve.
 
     When A carries a sparse factor the step is LOBPCG with the factor as
     an exact preconditioner: X is a W-orthonormal block of BLOCK_WIDTH
@@ -204,10 +215,14 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     carries the last iterate.
     """
     mat = _matrix(A)
+    n = mat.shape[0]
     w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weight vector must have shape {(n,)}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weight vector must be finite")
     if not np.all(w > 0.0):
         raise ValueError("weight vector must be strictly positive")
-    n = w.shape[0]
     x = np.ones(n) if start is None else _start_vector(start, w)
     x = x / np.sqrt(float(x @ (w * x)))
     block = None

@@ -348,12 +348,12 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     """Alternate eigen solve and bathtub rearrangement to a fixed point.
 
     ``init`` may be a DensityField, an integer seed for a random two-valued
-    start, or None/"uniform" for the constant density.  Stops when the low
-    region repeats with a settled eigenvalue (converged), when it matches
-    the region from two iterations earlier but not the last one (cycling),
-    or at the iteration cap.  The eigensolve is warm-started with the
-    previous eigenvector, which keeps the recorded eigenvalue sequence
-    non-increasing up to solver tolerance.
+    start, or None/"uniform" for the constant density.  Stops at the first
+    repeated split (converged: the density just solved is a fixed point, the
+    last pair its eigenpair), at the split of two iterations earlier
+    (cycling), or at the iteration cap; returns the last bathtub output.
+    Warm-starting each eigensolve from the previous eigenvector keeps the
+    recorded eigenvalues non-increasing up to solver tolerance.
     """
     if max_alternations < 1:
         raise ValueError("iteration cap must be >= 1")
@@ -394,13 +394,11 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
         if spec.rho_min == spec.rho_max:
             trace.status = CONVERGED
             break
-        repeats = _same_split(partition, prev)
-        # a repeat has a previous record, whose eigenvalue must have settled
-        if repeats and abs(pair.eigenvalue - trace.records[-2].eigenvalue) <= \
-                opts.eig_rel_tol * abs(pair.eigenvalue):
+        # rho is the bathtub of prev, so a repeat makes it a fixed point
+        if _same_split(partition, prev):
             trace.status = CONVERGED
             break
-        if not repeats and _same_split(partition, prev2):
+        if _same_split(partition, prev2):
             trace.status = CYCLING
             break
         prev2, prev = prev, partition

@@ -166,6 +166,29 @@ def test_weight_must_be_positive():
         mo.first_eigenpair(a, np.zeros(a.shape[0]))
 
 
+@pytest.mark.parametrize("factored", [True, False])
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(48), r"weight vector must have shape \(49,\), got \(48,\)"),
+    (np.ones(50), r"weight vector must have shape \(49,\), got \(50,\)"),
+    (np.ones((49, 1)), r"weight vector must have shape \(49,\), got \(49, 1\)"),
+    (np.append(np.ones(48), np.inf), "weight vector must be finite"),
+    (np.append(np.ones(48), np.nan), "weight vector must be finite"),
+], ids=["short", "long", "column", "inf", "nan"])
+def test_weight_vector_is_validated_before_any_solve(factored, weights, message,
+                                                     monkeypatch):
+    g, a = _laplacian(1.0 / 8)
+    assert g.node_count == 49
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_spd called on invalid weights")
+
+    monkeypatch.setattr(mo.eigen, "solve_spd", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            mo.first_eigenpair(a if factored else a.matrix, weights)
+
+
 def test_nonconvergence_names_the_method():
     g, a = _laplacian(1.0 / 8)
     w = np.ones(g.node_count)
@@ -291,6 +314,51 @@ def test_cg_solve_rejects_block_rhs():
     g, a = _laplacian(1.0 / 8)
     with pytest.raises(ValueError, match="one right-hand side"):
         solve_spd(a.matrix, np.ones((g.node_count, 2)), 1e-10)
+
+
+def _textbook_cg(mat, b, tol, x0=None):
+    """Conjugate gradients as allocating textbook updates, with solve_spd's
+    stopping rule and 50-step refresh; returns x and the step count."""
+    norm_b = float(np.linalg.norm(b))
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - mat @ x
+    p = r.copy()
+    rs = float(r @ r)
+    for it in range(10 * b.shape[0]):
+        if np.sqrt(rs) <= tol * norm_b and (it > 0 or rs == 0.0):
+            return x, it
+        ap = mat @ p
+        alpha = rs / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        if (it + 1) % 50 == 0:
+            r = b - mat @ x
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    raise AssertionError("reference loop hit its cap")
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("grid_spec, order", [
+    (mo.disk_spec(1.0 / 32), 2),
+    (mo.square_spec(1.0 / 16), 4),
+], ids=["disk", "plate"])
+def test_cg_loop_matches_textbook_loop_bitwise(grid_spec, order, warm):
+    g = mo.build_grid(grid_spec)
+    mat = mo.assemble_stiffness(g, order=order).matrix
+    rng = np.random.default_rng(11)
+    b = rng.random(g.node_count) + 0.5
+    # a warm start near the solution, as inverse iteration hands CG one
+    x0 = _textbook_cg(mat, b, 1e-4)[0] if warm else None
+    expected, steps = _textbook_cg(mat, b, 1e-10, x0)
+    # the periodic residual refresh runs at least once
+    assert steps > 50
+    assert solve_spd(mat, b, 1e-10, x0).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt import operators, optimizer
+from membrane_opt.cli import parse_config
 from membrane_opt.optimizer import CONVERGED, MAX_ITER
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _grid_9():
@@ -317,6 +321,50 @@ def test_minimize_status_max_iter():
     *_, trace = mo.minimize(spec, max_alternations=1)
     assert trace.status == MAX_ITER
     assert len(trace) == 1
+
+
+def _square_cfg_problem():
+    text = (_CONFIGS / "square.cfg").read_text()
+    config = parse_config(text, subcommand="solve")
+    assert config.problem.stiffness.factored
+    return config.problem, config.solver, None
+
+
+def _cube_cg_problem():
+    g = mo.build_grid(mo.square_spec(1.0 / 8, dimension=3))
+    spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=mo.domain_volume(g))
+    assert not spec.stiffness.factored
+    return spec, mo.SolverOptions(), 1
+
+
+@pytest.mark.parametrize("problem", [_square_cfg_problem, _cube_cg_problem],
+                         ids=["square-cfg", "cube-cg"])
+def test_minimize_returns_a_fixed_point_found_once(problem, monkeypatch):
+    spec, opts, init = problem()
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(mo.first_eigenpair(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(optimizer, "first_eigenpair", counted)
+    density, pair, part, trace = mo.minimize(spec, init=init, opts=opts)
+    assert trace.status == CONVERGED
+    assert len(solves) == len(trace) >= 2
+    # the first repeated split ends the run: no confirming alternation
+    assert [r.set_change == 0 for r in trace.records] == [False] * (len(trace) - 1) + [True]
+    # the returned pair is the last solve, and the split is its bathtub
+    assert pair is solves[-1]
+    again, again_part = mo.bathtub_rearrange(pair.vector, spec.grid, spec)
+    assert np.array_equal(again_part.high_nodes, part.high_nodes)
+    assert again_part.fractional_node == part.fractional_node
+    assert again.values.tobytes() == density.values.tobytes()
+    # and it is the eigenpair of the returned density
+    w = mo.assemble_weight(spec.grid, density.values)
+    wx = w * pair.vector
+    residual = np.linalg.norm(spec.stiffness.matrix @ pair.vector
+                              - pair.eigenvalue * wx) / np.linalg.norm(wx)
+    assert residual <= 10.0 * opts.eig_rel_tol
 
 
 def test_minimize_mirror_equivariance():
