@@ -5,21 +5,24 @@ cached sparse LU factor of an assembled stiffness matrix (2D grids up to
 ``FACTOR_MAX_NODES`` nodes, see ``StiffnessMatrix.factored``), and plain
 conjugate gradients for every other matrix.  With a factor, the outer loop
 is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2):517-541, 2001) on a block
-of ``BLOCK_WIDTH`` vectors with the factor as an exact preconditioner:
-each step solves once with the factor and runs Rayleigh-Ritz on the block,
-its preconditioned images and the previous update direction, so it keeps
-the mu1/mu3 rate of block inverse iteration when mu1 ~ mu2, as on
-symmetric dumbbells, in about half the steps.  With conjugate gradients it
-is single-vector inverse power iteration, warm-started from the previous
-iterate, which converges at rate mu1/mu2.  Both are deterministic: fixed
-all-ones start, a fixed second block column, no randomization, no
-threading (SuperLU is single-threaded).  The Rayleigh quotient of the
-iterates is non-increasing, which the outer density optimization relies on
-for monotone descent.
+of ``BLOCK_WIDTH`` vectors with the factor as an exact preconditioner,
+deepened by ``KRYLOV_DEPTH`` Krylov levels: each step solves with the
+factor on the block X and then on each new level, Y_1 = A^-1 W X and
+Y_(j+1) = A^-1 W Y_j, and runs Rayleigh-Ritz on the block, its levels and
+the previous update direction.  It keeps the mu1/mu3 rate of block inverse
+iteration when mu1 ~ mu2, as on symmetric dumbbells, and a depth-four
+step does the work of about 3.5 depth-one steps (see KRYLOV_DEPTH).  With
+conjugate gradients it is single-vector inverse power iteration,
+warm-started from the previous iterate, which converges at rate mu1/mu2.
+Both are deterministic: fixed all-ones start, a fixed second block column,
+no randomization, no threading (SuperLU is single-threaded).  The Rayleigh
+quotient of the iterates is non-increasing, which the outer density
+optimization relies on for monotone descent.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +35,7 @@ __all__ = [
     "CGStagnationError",
     "EigenConvergenceError",
     "EigenPair",
+    "KRYLOV_DEPTH",
     "SolverOptions",
     "first_eigenpair",
     "solve_spd",
@@ -42,20 +46,50 @@ BLOCK_WIDTH = 2
 """Vectors per LOBPCG block on the factored path.
 
 Two is the smallest block whose rate rests on mu1/mu3 rather than on the
-mu1/mu2 gap.  Measured on the eight-seed dumbbell multi-start at h=1/32
-(1973 nodes, ``configs/dumbbell_sweep.cfg``; 2-vCPU Intel Xeon, one BLAS
-thread, medians of 7 interleaved runs): width one takes 433 steps in
-0.089 s, width two 329 steps in 0.096 s and width three 324 steps in
-0.127 s: a SuperLU solve costs about 76 us for two right-hand sides, and
-each block column adds three columns to the Rayleigh-Ritz basis.  Width
-one is cheaper there, but from a start tilted toward one bell of the
-symmetric h=1/16 dumbbell (mu2 - mu1 ~ 1.6e-7 mu1) it needs 16 steps
-against 10 for width two.
+mu1/mu2 gap.  A width-one block at depth two needs 38 steps from a start
+tilted toward one bell of the symmetric h=1/16 dumbbell (mu2 - mu1 ~
+1.6e-7 mu1), against 6 for width two (3 at depth four).  Width one also
+takes more solves on the eight-seed dumbbell multi-start (see
+KRYLOV_DEPTH): 252 steps and 504 solves at depth two, 125 and 500 at
+depth four.
+"""
+
+KRYLOV_DEPTH = 4
+"""Factor solves per LOBPCG step on the factored path, one per Krylov level.
+
+Each level adds ``BLOCK_WIDTH`` columns to the Rayleigh-Ritz basis, so a
+step costs one (n, 2) SuperLU solve per level plus products that grow
+with the basis.  On the dumbbell the solve is only about a third of a
+depth-one step, so a deeper step that needs fewer steps gains.  Measured
+on the eight-seed dumbbell multi-start at h=1/32 (1973 nodes,
+``configs/dumbbell_sweep.cfg``, 40 eigensolves; every depth finds the
+same six classes), steps and block solves per unit:
+
+    depth   1    2    3    4    5    6
+    steps   314  175  127  90   88   80
+    solves  314  350  381  360  440  480
+
+Four takes the fewest solves after depth two and the fewest steps before
+the step count stalls: depths five and six add solves without cutting
+steps.  On a 2-vCPU Intel Xeon with one BLAS thread the multi-start's
+median wall time is 0.187 s at depth four against 0.231 s at depth one
+(10 interleaved benchmark runs each).  Where one level already converges
+fast the deeper step costs solves: the stopping test compares two steps,
+so every eigensolve takes at least two, and the two eigensolves of the
+well-gapped h=1/64 disk (``configs/disk.cfg``, 12849 nodes, where a solve
+is two thirds of a step) make 16 solves where depth one makes 13.
 """
 
 # Gram eigenvalues below this fraction of the largest mark a block column
 # as linearly dependent on the others; it is dropped from the block
 _RANK_TOL = 1e-10
+
+# a Krylov level column whose squared W-norm, left after Gram-Schmidt, is
+# below this fraction of the level's largest is rounding noise and becomes
+# zero before the next solve; only noise goes, since small remainders carry
+# the update (at 1e-10 the eight-seed dumbbell multi-start takes 92 steps
+# instead of 90)
+_LEVEL_TOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -95,8 +129,8 @@ class EigenPair:
 
     The vector is W-normalized (phi' W phi = 1) and signed so that the
     entry of largest magnitude is positive.  ``iterations`` counts outer
-    steps: LOBPCG steps on the factored path, power steps on the CG path;
-    each is one ``solve_spd`` call.
+    steps: LOBPCG steps on the factored path, each KRYLOV_DEPTH
+    ``solve_spd`` calls, and power steps on the CG path, each one call.
     """
 
     eigenvalue: float
@@ -135,11 +169,14 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
         raise ValueError(
             f"conjugate gradients take one right-hand side, got shape {b.shape}"
         )
+    if direct:
+        # a zero block, as a vanished Krylov level, needs no factor call
+        if not b.any():
+            return np.zeros_like(b)
+        return A.factor.solve(b)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
-    if direct:
-        return A.factor.solve(b)
 
     mat = _matrix(A)
 
@@ -191,28 +228,31 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
                     start: np.ndarray | None = None) -> EigenPair:
     """Smallest eigenpair of A phi = mu W phi, W = diag(weights).
 
-    Each outer step makes one ``solve_spd`` call and yields a W-normalized
-    iterate x with mu <- x' A x.  ``weights`` must be a finite, strictly
-    positive vector of shape (n,), n the order of A, and ``start`` (default
-    all ones) a finite vector of shape (n,) with a non-zero W-norm; anything
-    else is a ValueError raised before any solve.
+    Each outer step yields a W-normalized iterate x with mu <- x' A x.
+    ``weights`` must be a finite, strictly positive vector of shape (n,), n
+    the order of A, and ``start`` (default all ones) a finite vector of
+    shape (n,) with a non-zero W-norm; anything else is a ValueError raised
+    before any solve.
 
     When A carries a sparse factor the step is LOBPCG with the factor as
-    an exact preconditioner: X is a W-orthonormal block of BLOCK_WIDTH
-    columns (at first the start times the powers 0, 1, ... of an index
-    ramp from -1 to 1), Y <- solve(A, W X), P is the previous step's
+    an exact preconditioner, deepened by Krylov levels: X is a
+    W-orthonormal block of BLOCK_WIDTH columns (at first the start times
+    the powers 0, 1, ... of an index ramp from -1 to 1), Y_1 <- solve(A,
+    W X) and Y_(j+1) <- solve(A, W Y_j) for KRYLOV_DEPTH ``solve_spd``
+    calls, each level W-orthogonalized against X and the levels before it
+    and W-orthonormalized before the next solve, P is the previous step's
     update direction (none on the first step), and Rayleigh-Ritz on
-    span[X, Y, P] in the W inner product gives the next block; x is its
-    smallest Ritz vector.  The span contains X, so the Ritz value cannot
-    rise.  Linearly dependent columns, as for one-node grids or a start
-    that is already an eigenvector, are dropped.  Otherwise the step is
-    warm-started inverse power iteration, y <- solve(A, W x),
-    x <- y / sqrt(y' W y), and a RuntimeWarning flags an observed
-    convergence rate above 0.999, the signature of a nearly degenerate
-    leading eigenvalue.  Both stop once the relative eigenvalue change
-    drops below eig_rel_tol and the measured residual below 10x that;
-    past max_iterations steps, EigenConvergenceError names the method and
-    carries the last iterate.
+    span[X, Y_1, ..., Y_m, P] in the W inner product gives the next block;
+    x is its smallest Ritz vector.  The span contains X, so the Ritz value
+    cannot rise.  Linearly dependent columns, as for one-node grids or a
+    start that is already an eigenvector (every level then vanishes), are
+    dropped.  Otherwise the step is warm-started inverse power iteration,
+    one ``solve_spd`` call y <- solve(A, W x), x <- y / sqrt(y' W y),
+    and a RuntimeWarning flags an observed convergence rate above 0.999,
+    the signature of a nearly degenerate leading eigenvalue.  Both stop
+    once the relative eigenvalue change drops below eig_rel_tol and the
+    measured residual below 10x that; past max_iterations steps,
+    EigenConvergenceError names the method and carries the last iterate.
     """
     mat = _matrix(A)
     n = mat.shape[0]
@@ -314,14 +354,38 @@ def _w_basis(gram: np.ndarray) -> np.ndarray:
     return vectors[:, keep] / np.sqrt(values[keep])
 
 
+def _level_basis(gram: np.ndarray) -> np.ndarray:
+    """Upper-triangular T with T' gram T = I on the kept columns: Gram-Schmidt
+    in the gram inner product, in Python floats because a Krylov level has
+    only ``width`` columns.  A column whose remainder falls below
+    _LEVEL_TOL of the largest diagonal entry gets a zero column in T."""
+    g = gram.tolist()
+    k = len(g)
+    top = max(g[i][i] for i in range(k))
+    t = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        v = [float(i == j) for i in range(k)]
+        for i in range(j):
+            dot = sum(t[a][i] * g[a][j] for a in range(k))
+            for a in range(k):
+                v[a] -= dot * t[a][i]
+        square = sum(v[a] * g[a][b] * v[b] for a in range(k) for b in range(k))
+        if square > _LEVEL_TOL * top:
+            norm = math.sqrt(square)
+            for a in range(k):
+                t[a][j] = v[a] / norm
+    return np.array(t)
+
+
 class _Lobpcg:
     """Block state of the factored path.
 
-    One column-major buffer holds S = [X, Y, P], ``width`` columns each:
-    the W-orthonormal block X, then Y = A^-1 W X, then the previous update
-    direction P, which is zero before the first step; a second buffer
-    holds W S.  Products that write n-row blocks are taken transposed,
-    (c' S')', so that they come out column-major too.
+    One column-major buffer holds S = [X, Y_1, ..., Y_m, P], m =
+    KRYLOV_DEPTH blocks of ``width`` columns between the W-orthonormal
+    block X and the previous update direction P, which is zero before the
+    first step; a second buffer holds W S.  Products that write n-row
+    blocks are taken transposed, (c' S')', so that they come out
+    column-major too.
     """
 
     def __init__(self, x: np.ndarray, w: np.ndarray):
@@ -332,32 +396,44 @@ class _Lobpcg:
 
     def _reset(self, block: np.ndarray, direction: np.ndarray | None) -> None:
         n, self.width = block.shape
-        self.s = np.zeros((n, 3 * self.width), order="F")
+        self.s = np.zeros((n, (KRYLOV_DEPTH + 2) * self.width), order="F")
         self.ws = np.empty_like(self.s)
         self.s[:, :self.width] = block
         if direction is not None:
-            self.s[:, 2 * self.width:] = direction
+            self.s[:, -self.width:] = direction
 
     def step(self, A, mat, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
         """One LOBPCG step; returns the smallest Ritz vector x, W-normalized,
         and A x."""
         k = self.width
-        s = self.s
-        x_block = s[:, :k]
-        wx = self.w * x_block
-        s[:, k:2 * k] = solve_spd(A, wx, opts.cg_rel_tol)
-        # W-orthogonalize Y and P against X, so that the Gram matrices keep
-        # the small components that carry the update
+        s, ws = self.s, self.ws
+        np.multiply(self.w, s[:, :k], out=ws[:, :k])
+        # level Y_j = A^-1 W Y_(j-1), Y_0 = X, lives in columns lo:lo+k; it is
+        # W-orthogonalized against every block before it, so that the Gram
+        # matrices keep the small components that carry the update, and
+        # W-orthonormalized within itself before the next solve: a Krylov
+        # power basis would lose its new directions to cancellation
+        for lo in range(k, (KRYLOV_DEPTH + 1) * k, k):
+            y = solve_spd(A, ws[:, lo - k:lo], opts.cg_rel_tol)
+            y -= ((ws[:, :lo].T @ y).T @ s[:, :lo].T).T
+            wy = self.w * y
+            # a level that vanishes (Y_1 lies in span X once X holds an
+            # eigenvector; exactly so on a one-node grid) stays zero, and so
+            # does every level after it, whose solve sees a zero block
+            c = _level_basis(y.T @ wy)
+            np.matmul(y, c, out=s[:, lo:lo + k])
+            np.matmul(wy, c, out=ws[:, lo:lo + k])
         rest = s[:, k:]
-        rest -= ((wx.T @ rest).T @ x_block.T).T
-        np.multiply(self.w, s, out=self.ws)
+        direction = s[:, -k:]
+        direction -= ((ws[:, :-k].T @ direction).T @ s[:, :-k].T).T
+        np.multiply(self.w, direction, out=ws[:, -k:])
         # A S by an explicit product: taking A Y = W X from the solve instead
         # trusts its backward error and stalls the residual near 1e-5
         a_s = mat @ s
-        gram_w = s.T @ self.ws
+        gram_w = s.T @ ws
         gram_a = s.T @ a_s
         # unit W-norm columns before the Gram eigh; exactly-zero columns, as
-        # P before the first step or a Y inside span(X), get scale 0 and are
+        # P before the first step or a vanished level, get scale 0 and are
         # dropped with the rank-deficient rest
         norms = np.sqrt(np.diag(gram_w))
         unit = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
@@ -370,7 +446,7 @@ class _Lobpcg:
         ax = a_s @ c[:, 0]
         if c.shape[1] == k:
             s[:, :k] = new_x
-            s[:, 2 * k:] = new_p
+            direction[...] = new_p
         else:
             self._reset(new_x, new_p)
         x = new_x[:, 0]

@@ -287,8 +287,10 @@ def bathtub_rearrange(phi: np.ndarray, grid: Grid,
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One outer iteration; set_change counts the symmetric difference of
-    the low region against the previous iteration (its size on the first)."""
+    """One outer iteration; set_change counts the nodes whose class (low,
+    fractional or high) differs from the previous iteration's split (the
+    low region's size on the first), so it is 0 exactly on a repeated
+    split."""
 
     iteration: int
     eigenvalue: float
@@ -342,6 +344,17 @@ def _set_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -> 
     return a.low_count + b.low_count - 2 * int(np.count_nonzero(member[b.low_nodes]))
 
 
+def _split_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -> int:
+    """Nodes whose class (low, fractional or high) differs between two
+    splits; 0 exactly when ``_same_split`` holds."""
+    classes = np.zeros((2, node_count), dtype=np.int8)
+    for row, partition in zip(classes, (a, b)):
+        row[partition.high_nodes] = 2
+        if partition.fractional_node is not None:
+            row[partition.fractional_node] = 1
+    return int(np.count_nonzero(classes[0] != classes[1]))
+
+
 def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions(),
              max_alternations: int = 200,
              ) -> tuple[DensityField, EigenPair, LevelSetPartition, OptimizationTrace]:
@@ -383,7 +396,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
         if prev is None:
             set_change = partition.low_count
         else:
-            set_change = _set_change(partition, prev, grid.node_count)
+            set_change = _split_change(partition, prev, grid.node_count)
         trace.records.append(TraceRecord(
             iteration=it,
             eigenvalue=pair.eigenvalue,

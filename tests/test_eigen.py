@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -413,3 +414,77 @@ def test_lobpcg_from_the_exact_eigenvector_drops_the_vanished_column():
     assert pair.iterations <= 2
     assert np.all(np.isfinite(pair.vector)) and np.isfinite(pair.residual)
     assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
+
+
+def test_krylov_levels_resolve_the_tilted_symmetric_dumbbell_in_four_steps():
+    g, a = _symmetric_dumbbell()
+    start = 1.0 + g.coordinates()[:, 0]
+    assert mo.first_eigenpair(a, np.ones(g.node_count), start=start).iterations <= 4
+
+
+def test_krylov_levels_resolve_the_fine_dumbbell_in_four_steps():
+    g = mo.build_grid(mo.dumbbell_spec(1.0 / 32))
+    a = mo.assemble_stiffness(g)
+    assert a.factor is not None
+    assert mo.first_eigenpair(a, np.ones(g.node_count)).iterations <= 4
+
+
+def test_krylov_levels_keep_the_bilaplacian_residual_in_reach():
+    # levels W-orthogonalized against X alone form a power basis whose new
+    # directions cancel: there this clamped plate needs 406 steps to bring
+    # the residual (mu ~ 1025, entries of A ~ h^-4) under 1e-8
+    g = mo.build_grid(mo.square_spec(1.0 / 32))
+    a = mo.assemble_stiffness(g, order=4)
+    assert a.factor is not None
+    w = np.random.default_rng(4).uniform(0.5, 2.0, g.node_count)
+    assert mo.first_eigenpair(a, w).iterations <= 6
+
+
+def _exact_rayleigh_quotient(a, w, x):
+    """x'Ax / x'Wx in rational arithmetic: the double quotient rounds at
+    about eps |x|'|A||x| / x'Ax relative, 1e-13 for the bilaplacian here"""
+    m = a.matrix.tocoo()
+    xs = [Fraction(v) for v in x.tolist()]
+    num = sum(Fraction(v) * xs[i] * xs[j]
+              for v, i, j in zip(m.data.tolist(), m.row.tolist(), m.col.tolist()))
+    return num / sum(Fraction(wi) * xi * xi for wi, xi in zip(w.tolist(), xs))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_lobpcg_ritz_value_never_rises_step_by_step(order):
+    # the capped runs replay the same iterates, so the best pair at cap j is
+    # the Ritz pair after step j
+    g = mo.build_grid(mo.square_spec(1.0 / 24))
+    a = mo.assemble_stiffness(g, order=order)
+    assert a.factor is not None
+    w = np.random.default_rng(order).uniform(0.5, 2.0, g.node_count)
+    pairs = []
+    for cap in range(1, 50):
+        try:
+            pairs.append(mo.first_eigenpair(a, w, mo.SolverOptions(max_iterations=cap)))
+            break
+        except EigenConvergenceError as exc:
+            pairs.append(exc.best)
+    assert len(pairs) >= 3
+    exact = [_exact_rayleigh_quotient(a, w, pair.vector) for pair in pairs]
+    slack = 1 + Fraction(1e-14)
+    assert all(later <= earlier * slack for earlier, later in zip(exact, exact[1:]))
+    for pair, quotient in zip(pairs, exact):
+        assert abs(pair.eigenvalue - float(quotient)) <= 1e-11 * pair.eigenvalue
+    if order == 2:
+        mus = [pair.eigenvalue for pair in pairs]
+        assert all(later <= earlier * (1.0 + 1e-14) for earlier, later in zip(mus, mus[1:]))
+
+
+def test_factored_solve_of_a_zero_block_makes_no_factor_call(monkeypatch):
+    # a vanished Krylov level hands the next level's solve a zero block
+    g, a = _laplacian(1.0 / 8)
+    assert a.factor is not None
+
+    class Refusing:
+        def solve(self, b):
+            raise AssertionError("factor called on a zero block")
+
+    monkeypatch.setitem(a.__dict__, "factor", Refusing())
+    x = solve_spd(a, np.zeros((g.node_count, 2)), 1e-10)
+    assert x.shape == (g.node_count, 2) and not x.any()

@@ -367,6 +367,46 @@ def test_minimize_returns_a_fixed_point_found_once(problem, monkeypatch):
     assert residual <= 10.0 * opts.eig_rel_tol
 
 
+def test_set_change_counts_a_fractional_node_trading_places_with_a_high_node():
+    # from this start the fractional node and one high node swap on
+    # alternate records, which leaves the low region as it was
+    g = mo.build_grid(mo.square_spec(1.0 / 6, dimension=4))
+    spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=(5.0 / 6.0) ** 4,
+                          order=4, exponent=4)
+    *_, trace = mo.minimize(spec, init=1)
+    assert trace.status == CONVERGED and len(trace) >= 4
+    assert [r.set_change == 0 for r in trace.records] == [False] * (len(trace) - 1) + [True]
+
+
+_SPLIT = st.tuples(st.lists(st.booleans(), min_size=8, max_size=8),
+                   st.one_of(st.none(), st.integers(0, 7)))
+
+
+@given(_SPLIT, _SPLIT)
+@settings(max_examples=60, deadline=None)
+# the fractional node and a high node trade places; the low region stays
+@example(([True] * 4 + [False] * 4, 0), ([False] + [True] * 3 + [False] * 4, 4))
+def test_split_change_is_zero_exactly_on_the_same_split(split_a, split_b):
+    def classes(split):
+        high, fractional = split
+        labels = np.where(high, 2, 0)
+        if fractional is not None:
+            labels[fractional] = 1
+        return labels
+
+    def partition(split):
+        labels = classes(split)
+        return mo.LevelSetPartition(
+            low_nodes=np.flatnonzero(labels == 0), high_nodes=np.flatnonzero(labels == 2),
+            threshold=0.0, fractional_node=split[1])
+
+    a, b = partition(split_a), partition(split_b)
+    change = optimizer._split_change(a, b, 8)
+    assert change == int(np.count_nonzero(classes(split_a) != classes(split_b)))
+    assert (change == 0) == optimizer._same_split(a, b)
+    assert change >= optimizer._set_change(a, b, 8)
+
+
 def test_minimize_mirror_equivariance():
     g = mo.build_grid(mo.dumbbell_spec(1.0 / 16))
     spec = mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0, mass=mo.domain_volume(g))
