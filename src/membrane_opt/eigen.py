@@ -22,7 +22,6 @@ optimization relies on for monotone descent.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,30 +65,24 @@ on the eight-seed dumbbell multi-start at h=1/32 (1973 nodes,
 same six classes), steps and block solves per unit:
 
     depth   1    2    3    4    5    6
-    steps   314  175  127  90   88   80
-    solves  314  350  381  360  440  480
+    steps   313  175  127  90   88   80
+    solves  313  350  381  360  440  480
 
 Four takes the fewest solves after depth two and the fewest steps before
 the step count stalls: depths five and six add solves without cutting
 steps.  On a 2-vCPU Intel Xeon with one BLAS thread the multi-start's
-median wall time is 0.187 s at depth four against 0.231 s at depth one
-(10 interleaved benchmark runs each).  Where one level already converges
-fast the deeper step costs solves: the stopping test compares two steps,
-so every eigensolve takes at least two, and the two eigensolves of the
-well-gapped h=1/64 disk (``configs/disk.cfg``, 12849 nodes, where a solve
-is two thirds of a step) make 16 solves where depth one makes 13.
+median wall time is 0.179 s at depth four against 0.220 s at depth one
+(10 alternating pairs of benchmark runs).  Where one level already
+converges fast the deeper step costs solves: the stopping test compares
+two steps, so every eigensolve takes at least two, and the two
+eigensolves of the well-gapped h=1/64 disk (``configs/disk.cfg``, 12849
+nodes, where a solve is two thirds of a step) make 16 solves where depth
+one makes 13.
 """
 
 # Gram eigenvalues below this fraction of the largest mark a block column
 # as linearly dependent on the others; it is dropped from the block
 _RANK_TOL = 1e-10
-
-# a Krylov level column whose squared W-norm, left after Gram-Schmidt, is
-# below this fraction of the level's largest is rounding noise and becomes
-# zero before the next solve; only noise goes, since small remainders carry
-# the update (at 1e-10 the eight-seed dumbbell multi-start takes 92 steps
-# instead of 90)
-_LEVEL_TOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -101,7 +94,8 @@ class CGStagnationError(SolverError):
 
 
 class EigenConvergenceError(SolverError):
-    """The outer iteration exhausted its cap; carries the best iterate."""
+    """The outer iteration exhausted its cap; ``best`` carries the iterate
+    of lowest residual, with the number of steps that reached it."""
 
     def __init__(self, message: str, best: "EigenPair"):
         super().__init__(message)
@@ -252,7 +246,8 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     the signature of a nearly degenerate leading eigenvalue.  Both stop
     once the relative eigenvalue change drops below eig_rel_tol and the
     measured residual below 10x that; past max_iterations steps,
-    EigenConvergenceError names the method and carries the last iterate.
+    EigenConvergenceError names the method and carries the iterate of
+    lowest residual.
     """
     mat = _matrix(A)
     n = mat.shape[0]
@@ -276,9 +271,9 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     slow_steps = 0
     warned = False
     converged = False
-    iterations = 0
+    best = None
+    target = 10.0 * opts.eig_rel_tol
     for it in range(1, opts.max_iterations + 1):
-        iterations = it
         if block is not None:
             x, ax = block.step(A, mat, opts)
         else:
@@ -293,6 +288,8 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
         wx = w * x
         mu = float(x @ ax)
         residual = float(np.linalg.norm(ax - mu * wx) / np.linalg.norm(wx))
+        if best is None or residual < best[2]:
+            best = (mu, x, residual, it)
         if mu_prev is not None:
             delta = abs(mu - mu_prev)
             # rate tracking only while meaningfully above the stop target,
@@ -312,25 +309,30 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
                         stacklevel=2,
                     )
                     warned = True
-            if delta <= opts.eig_rel_tol * abs(mu) and residual <= 10.0 * opts.eig_rel_tol:
+            if delta <= opts.eig_rel_tol * abs(mu) and residual <= target:
                 converged = True
                 break
             delta_prev = delta
         mu_prev = mu
 
+    if converged:
+        return _pair(mu, x, residual, it)
+    method = "power iteration" if block is None else "LOBPCG"
+    raise EigenConvergenceError(
+        f"{method} did not converge in {opts.max_iterations} steps "
+        f"(residual {residual:.3e})",
+        best=_pair(*best),
+    )
+
+
+def _pair(mu: float, x: np.ndarray, residual: float, iterations: int) -> EigenPair:
+    """The pair with x signed so that its entry of largest magnitude is
+    positive, and made read-only."""
     peak = int(np.argmax(np.abs(x)))
     if x[peak] < 0.0:
         x = -x
     x.setflags(write=False)
-    pair = EigenPair(eigenvalue=mu, vector=x, residual=residual, iterations=iterations)
-    if not converged:
-        method = "power iteration" if block is None else "LOBPCG"
-        raise EigenConvergenceError(
-            f"{method} did not converge in {opts.max_iterations} steps "
-            f"(residual {residual:.3e})",
-            best=pair,
-        )
-    return pair
+    return EigenPair(eigenvalue=mu, vector=x, residual=residual, iterations=iterations)
 
 
 def _start_vector(start, w: np.ndarray) -> np.ndarray:
@@ -344,37 +346,14 @@ def _start_vector(start, w: np.ndarray) -> np.ndarray:
     return x
 
 
-def _w_basis(gram: np.ndarray) -> np.ndarray:
+def _w_basis(gram: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
     """Coefficients B with B' gram B = I over the numerically independent
-    columns; Gram eigenvalues below _RANK_TOL of the largest are dropped."""
+    columns; Gram eigenvalues below ``tol`` times the largest are dropped."""
     values, vectors = np.linalg.eigh(gram)
     if not values[-1] > 0.0:
         raise SolverError("inverse iteration produced a degenerate iterate")
-    keep = values > _RANK_TOL * values[-1]
+    keep = values > tol * values[-1]
     return vectors[:, keep] / np.sqrt(values[keep])
-
-
-def _level_basis(gram: np.ndarray) -> np.ndarray:
-    """Upper-triangular T with T' gram T = I on the kept columns: Gram-Schmidt
-    in the gram inner product, in Python floats because a Krylov level has
-    only ``width`` columns.  A column whose remainder falls below
-    _LEVEL_TOL of the largest diagonal entry gets a zero column in T."""
-    g = gram.tolist()
-    k = len(g)
-    top = max(g[i][i] for i in range(k))
-    t = [[0.0] * k for _ in range(k)]
-    for j in range(k):
-        v = [float(i == j) for i in range(k)]
-        for i in range(j):
-            dot = sum(t[a][i] * g[a][j] for a in range(k))
-            for a in range(k):
-                v[a] -= dot * t[a][i]
-        square = sum(v[a] * g[a][b] * v[b] for a in range(k) for b in range(k))
-        if square > _LEVEL_TOL * top:
-            norm = math.sqrt(square)
-            for a in range(k):
-                t[a][j] = v[a] / norm
-    return np.array(t)
 
 
 class _Lobpcg:
@@ -414,15 +393,22 @@ class _Lobpcg:
         # W-orthonormalized within itself before the next solve: a Krylov
         # power basis would lose its new directions to cancellation
         for lo in range(k, (KRYLOV_DEPTH + 1) * k, k):
-            y = solve_spd(A, ws[:, lo - k:lo], opts.cg_rel_tol)
-            y -= ((ws[:, :lo].T @ y).T @ s[:, :lo].T).T
-            wy = self.w * y
-            # a level that vanishes (Y_1 lies in span X once X holds an
-            # eigenvector; exactly so on a one-node grid) stays zero, and so
-            # does every level after it, whose solve sees a zero block
-            c = _level_basis(y.T @ wy)
-            np.matmul(y, c, out=s[:, lo:lo + k])
-            np.matmul(wy, c, out=ws[:, lo:lo + k])
+            level, w_level = s[:, lo:lo + k], ws[:, lo:lo + k]
+            level[...] = solve_spd(A, ws[:, lo - k:lo], opts.cg_rel_tol)
+            level -= ((ws[:, :lo].T @ level).T @ s[:, :lo].T).T
+            np.multiply(self.w, level, out=w_level)
+            # every column with a positive Gram eigenvalue is kept, since
+            # small remainders carry the update; a level that vanishes (Y_1
+            # lies in span X once X holds an eigenvector; exactly so on a
+            # one-node grid) stays zero, and so does every level after it,
+            # whose solve sees a zero block
+            gram = level.T @ w_level
+            c = np.zeros_like(gram)
+            if gram.any():
+                basis = _w_basis(gram, tol=0.0)
+                c[:, :basis.shape[1]] = basis
+            level[...] = level @ c
+            w_level[...] = w_level @ c
         rest = s[:, k:]
         direction = s[:, -k:]
         direction -= ((ws[:, :-k].T @ direction).T @ s[:, :-k].T).T

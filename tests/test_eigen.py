@@ -453,7 +453,8 @@ def _exact_rayleigh_quotient(a, w, x):
 @pytest.mark.parametrize("order", [2, 4])
 def test_lobpcg_ritz_value_never_rises_step_by_step(order):
     # the capped runs replay the same iterates, so the best pair at cap j is
-    # the Ritz pair after step j
+    # the lowest-residual Ritz pair of steps 1..j: either the one at cap j - 1
+    # or the pair after step j
     g = mo.build_grid(mo.square_spec(1.0 / 24))
     a = mo.assemble_stiffness(g, order=order)
     assert a.factor is not None
@@ -474,6 +475,26 @@ def test_lobpcg_ritz_value_never_rises_step_by_step(order):
     if order == 2:
         mus = [pair.eigenvalue for pair in pairs]
         assert all(later <= earlier * (1.0 + 1e-14) for earlier, later in zip(mus, mus[1:]))
+
+
+def test_capped_run_carries_its_lowest_residual_iterate():
+    # no step meets an eig_rel_tol of 1e-15 on this plate, and at the
+    # rounding floor a step can leave a worse residual than the one before
+    g = mo.build_grid(mo.square_spec(1.0 / 24))
+    a = mo.assemble_stiffness(g, order=4)
+    assert a.factor is not None
+    w = np.random.default_rng(4).uniform(0.5, 2.0, g.node_count)
+    bests = []
+    for cap in range(1, 13):
+        with pytest.raises(EigenConvergenceError) as info:
+            mo.first_eigenpair(a, w, mo.SolverOptions(eig_rel_tol=1e-15, max_iterations=cap))
+        bests.append(info.value.best)
+    for cap, (earlier, later) in enumerate(zip(bests, bests[1:]), start=2):
+        assert later.residual <= earlier.residual
+        if later.iterations < cap:
+            assert later.iterations == earlier.iterations
+            assert np.array_equal(later.vector, earlier.vector)
+    assert any(best.iterations < cap for cap, best in enumerate(bests, start=1))
 
 
 def test_factored_solve_of_a_zero_block_makes_no_factor_call(monkeypatch):

@@ -407,6 +407,26 @@ def test_split_change_is_zero_exactly_on_the_same_split(split_a, split_b):
     assert change >= optimizer._set_change(a, b, 8)
 
 
+def test_dumbbell_multi_start_takes_under_a_third_of_the_one_level_steps(monkeypatch):
+    # the eight seeds of configs/dumbbell_sweep.cfg: 313 LOBPCG steps with one
+    # Krylov level, 90 with four (levels W-orthonormalized down to rounding;
+    # dropping level columns at the block rank tolerance takes 130)
+    config = parse_config((_CONFIGS / "dumbbell_sweep.cfg").read_text(), subcommand="sweep")
+    assert config.problem.stiffness.factor is not None
+    steps = []
+
+    def counted(*args, **kwargs):
+        pair = mo.first_eigenpair(*args, **kwargs)
+        steps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(optimizer, "first_eigenpair", counted)
+    classes = optimizer.multi_start(config.problem, config.seeds, config.solver,
+                                    max_alternations=config.max_alternations)
+    assert len(classes) == 6
+    assert sum(steps) <= 100
+
+
 def test_minimize_mirror_equivariance():
     g = mo.build_grid(mo.dumbbell_spec(1.0 / 16))
     spec = mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0, mass=mo.domain_volume(g))
