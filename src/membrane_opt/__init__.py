@@ -21,7 +21,6 @@ from .grid import (
     Dumbbell,
     Grid,
     GridSpec,
-    Mask,
     Rectangle,
     annulus_spec,
     box_spec,

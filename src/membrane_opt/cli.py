@@ -165,12 +165,18 @@ _KEYS = {
 
 
 def _smooth_bump(center: np.ndarray, radius: float, amplitude: float):
-    """Compactly supported mollifier bump, value ``amplitude`` at the center."""
-    def w(point: np.ndarray) -> float:
-        s2 = float(np.sum((np.asarray(point) - center) ** 2)) / radius**2
-        if s2 >= 1.0:
-            return 0.0
-        return amplitude * math.exp(1.0 - 1.0 / (1.0 - s2))
+    """Compactly supported mollifier bump, value ``amplitude`` at the center,
+    as an array background: (N, d) points to (N,) exponents w."""
+    def w(points: np.ndarray) -> np.ndarray:
+        s2 = np.sum((points - center) ** 2, axis=1) / radius**2
+        inside = s2 < 1.0
+        # math.exp, not np.exp: the two differ in the last bit on some inputs,
+        # and the weights of curved runs are pinned to the former
+        exponent = (1.0 - 1.0 / (1.0 - s2[inside])).tolist()
+        out = np.zeros(points.shape[0])
+        out[inside] = amplitude * np.fromiter(map(math.exp, exponent), float,
+                                              len(exponent))
+        return out
     return w
 
 

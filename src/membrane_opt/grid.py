@@ -9,8 +9,13 @@ and reflections are array indexing into it.  Boundary values are never
 stored: a missing axis neighbor means the homogeneous Dirichlet condition
 applies across that edge.
 
-Each node optionally carries a background weight ``e^(2w)`` evaluated
-from a user-supplied exponent field ``w``; the measure of a node is then
+Both per-point inputs are array functions, each called once per grid.  A
+shape is any object with a vectorized ``contains(points)`` that maps the
+(N, d) array of lattice point centers to an (N,) bool array, plus an
+optional ``assume_connected`` flag; ``Rectangle``, ``Disk``, ``Annulus``
+and ``Dumbbell`` are built in.  Each node optionally carries a background
+weight ``e^(2w)``: the exponent field ``w`` maps the (N, d) array of node
+centers to an (N,) float array, and the measure of a node is then
 ``e^(2w) * h^d``.  Away from two dimensions the background must be flat
 (``w = 0``): the second-order stiffness stencil is weight-free only in 2D.
 The node table artifact is written by ``cli.grid_csv``.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +38,6 @@ __all__ = [
     "Dumbbell",
     "Grid",
     "GridSpec",
-    "Mask",
     "Rectangle",
     "annulus_spec",
     "box_spec",
@@ -121,19 +126,16 @@ class Dumbbell:
         return bells | neck
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Explicit predicate shape; ``predicate(point) -> bool`` per node center."""
+class Shape(Protocol):
+    """Vectorized membership of (N, d) point centers, an (N,) bool array.
+    An optional ``assume_connected = True`` asks ``build_grid`` to warn if
+    the shape discretizes disconnected."""
 
-    predicate: Callable[[np.ndarray], bool]
-    assume_connected: bool = False
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.fromiter((bool(self.predicate(p)) for p in points), dtype=bool,
-                           count=points.shape[0])
+    def contains(self, points: np.ndarray) -> np.ndarray: ...
 
 
-Shape = Rectangle | Disk | Annulus | Dumbbell | Mask
+# exponent field w: (N, d) node centers -> (N,) float array
+Background = Callable[[np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +145,33 @@ Shape = Rectangle | Disk | Annulus | Dumbbell | Mask
 class GridSpec:
     """Everything needed to build a grid deterministically.
 
-    ``bounds`` is one (lo, hi) pair per axis; ``background`` is an optional
-    exponent field w evaluated at node centers (None means flat, w = 0).
+    ``bounds`` is one finite (lo, hi) pair per axis and ``spacing`` a
+    finite positive h.  ``shape`` is any object with a vectorized
+    ``contains(points)`` that maps the (N, d) array of lattice point
+    centers to an (N,) bool array, and optionally ``assume_connected``.
+    ``background`` is an optional exponent field w, called once with the
+    (N, d) array of node centers and returning an (N,) float array (None
+    means flat, w = 0).
     """
 
     dimension: int
     spacing: float
     bounds: tuple[tuple[float, float], ...]
     shape: Shape
-    background: Callable[[np.ndarray], float] | None = None
+    background: Background | None = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if not (self.spacing > 0.0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
         if len(self.bounds) != self.dimension:
             raise ValueError(
                 f"need {self.dimension} bound pairs, got {len(self.bounds)}"
             )
         for lo, hi in self.bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"bounding box axis [{lo}, {hi}] is not finite")
             if not hi > lo:
                 raise ValueError(f"degenerate bounding box axis [{lo}, {hi}]")
         if isinstance(self.shape, Dumbbell):
@@ -182,20 +191,20 @@ class GridSpec:
 
 
 def square_spec(h: float, side: float = 1.0, dimension: int = 2,
-                background: Callable[[np.ndarray], float] | None = None) -> GridSpec:
+                background: Background | None = None) -> GridSpec:
     """Cube [0, side]^d at spacing h."""
     return GridSpec(dimension, h, ((0.0, side),) * dimension, Rectangle(), background)
 
 
 def box_spec(h: float, bounds: Sequence[tuple[float, float]],
-             background: Callable[[np.ndarray], float] | None = None) -> GridSpec:
+             background: Background | None = None) -> GridSpec:
     return GridSpec(len(bounds), h, tuple((float(a), float(b)) for a, b in bounds),
                     Rectangle(), background)
 
 
 def disk_spec(h: float, radius: float = 1.0,
               center: Sequence[float] | None = None, dimension: int = 2,
-              background: Callable[[np.ndarray], float] | None = None) -> GridSpec:
+              background: Background | None = None) -> GridSpec:
     c = tuple(center) if center is not None else (0.0,) * dimension
     bounds = tuple((ci - radius, ci + radius) for ci in c)
     return GridSpec(dimension, h, bounds, Disk(c, radius), background)
@@ -350,8 +359,11 @@ def build_grid(spec: GridSpec) -> Grid:
             raise ValueError(
                 "flat background required for dimension != 2 (w must be omitted)"
             )
-        coords = origin + node_arr * h
-        w = np.array([float(spec.background(p)) for p in coords])
+        w = np.asarray(spec.background(origin + node_arr * h), dtype=float)
+        if w.shape != (n,):
+            raise ValueError(
+                f"background must return one w per node, shape ({n},), got {w.shape}"
+            )
         if not np.all(np.isfinite(w)):
             raise ValueError("background exponent field evaluates non-finite")
         with np.errstate(over="ignore", under="ignore"):

@@ -90,6 +90,8 @@ class ProblemSpec:
             )
         if self.order not in (2, 4):
             raise ValueError(f"operator order must be 2 or 4, got {self.order}")
+        if not math.isfinite(self.mass):
+            raise ValueError(f"mass must be finite, got M = {self.mass}")
         vol = domain_volume(self.grid)
         slack = _FEAS_RTOL * max(abs(self.mass), 1.0)
         if not (self.rho_min * vol - slack <= self.mass <= self.rho_max * vol + slack):

@@ -216,8 +216,11 @@ def test_criterion_4_conformal_invariance():
     start = time.time()
 
     def bump(p):
-        s2 = ((p[0] - 0.5) ** 2 + (p[1] - 0.5) ** 2) / 0.25
-        return 0.3 * math.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0
+        s2 = ((p[:, 0] - 0.5) ** 2 + (p[:, 1] - 0.5) ** 2) / 0.25
+        inside = s2 < 1.0
+        w = np.zeros(len(p))
+        w[inside] = 0.3 * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        return w
 
     h = 1.0 / 32
     curved = mo.build_grid(mo.square_spec(h, background=bump))

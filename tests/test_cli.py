@@ -72,6 +72,14 @@ def test_infeasible_mass_names_constraint():
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 4\nsubcommand = sweep\n", "order 4"),
     ("shape = square\nh = 1/8\nA = 400\nM = 0.7\n", "key 'A': density box"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nseeds = 3,-1\n", "key 'seeds': .* >= 0"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = inf\n", "key 'M': mass must be finite"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = -inf\n", "key 'M': mass must be finite"),
+    ("shape = square\nside = inf\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "grid construction failed: .* not finite"),
+    ("shape = disk\nradius = inf\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "grid construction failed: .* not finite"),
+    ("shape = rectangle\nbbox = 0,1,-inf,1\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "grid construction failed: .* not finite"),
 ])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -379,8 +387,8 @@ def _ref_table(header, names, rows):
     return "".join(f"# {line}\n" for line in header) + "\n".join([names, *rows]) + "\n"
 
 
-def _bump(point):
-    return 0.3 * math.exp(-float(np.sum((np.asarray(point) - 0.5) ** 2)))
+def _bump(points):
+    return 0.3 * np.exp(-np.sum((points - 0.5) ** 2, axis=1))
 
 
 @pytest.mark.parametrize("spec", [
@@ -486,3 +494,39 @@ def test_extreme_background_weight_exits_1_without_output(tmp_path, capsys,
     assert err.startswith("error: grid construction failed: background weight")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("shape = square\nM = inf\n", "key 'M': mass must be finite"),
+    ("shape = square\nM = -inf\n", "key 'M': mass must be finite"),
+    ("shape = square\nside = inf\nM = 0.7\n", "grid construction failed: bounding box"),
+], ids=["M=inf", "M=-inf", "side=inf"])
+def test_non_finite_input_exits_1_without_output(tmp_path, capsys, lines, message):
+    cfg = _write_cfg(tmp_path, f"h = 1/8\nA = 0.5\n{lines}")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def _per_point_bump_e2w(grid, center, radius, amplitude):
+    """e^(2w) of the mollifier bump, one ``math.exp`` per node center."""
+    w = []
+    for point in grid.coordinates():
+        s2 = float(np.sum((point - np.asarray(center)) ** 2)) / radius**2
+        w.append(amplitude * math.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0)
+    return np.exp(2.0 * np.array(w))
+
+
+@pytest.mark.parametrize("shape, center, radius", [
+    ("shape = disk\ncenter = 0.1,-0.2\nradius = 0.9", (0.1, -0.2), 0.9),
+    ("shape = rectangle\nbbox = 0,1.5,0,1", (0.75, 0.5), 0.5),
+], ids=["disk", "rectangle"])
+def test_bump_weights_match_per_point_reference_bitwise(shape, center, radius):
+    rc = parse_config(f"{shape}\nh = 1/16\nlam = 0.5\nLam = 2\nM = 2.0\n"
+                      "bump_amplitude = 0.3\n")
+    assert np.count_nonzero(rc.grid.e2w != 1.0) > 0.5 * rc.grid.node_count
+    assert rc.grid.e2w.tobytes() == \
+        _per_point_bump_e2w(rc.grid, center, radius, 0.3).tobytes()

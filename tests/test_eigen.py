@@ -14,6 +14,7 @@ import membrane_opt as mo
 from membrane_opt.cli import parse_config
 from membrane_opt.eigen import CGStagnationError, EigenConvergenceError, solve_spd
 from membrane_opt.operators import FACTOR_MAX_NODES
+from shapes import Region
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -223,11 +224,6 @@ _MASK_H = 1.0 / 8
 _MASK_CELLS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 
 
-def _lattice_mask(members):
-    cells = frozenset(members)
-    return mo.Mask(lambda p: (round(p[0] / _MASK_H), round(p[1] / _MASK_H)) in cells)
-
-
 def _assert_backends_agree(a, w, opts=mo.SolverOptions()):
     assert a.factor is not None
     factored = mo.first_eigenpair(a, w, opts)
@@ -251,7 +247,7 @@ def test_factored_cg_and_dense_agree_on_random_masks(inside, weights):
     members = [cell for cell, keep in zip(_MASK_CELLS, inside) if keep]
     assume(members)
     g = mo.build_grid(mo.GridSpec(2, _MASK_H, ((0.0, 1.0), (0.0, 1.0)),
-                                  _lattice_mask(members)))
+                                  Region.cells(_MASK_H, members)))
     a = mo.assemble_stiffness(g)
     w = np.asarray(weights[:g.node_count])
     # power iteration needs a gap; disconnected masks can have none
@@ -265,7 +261,7 @@ def test_cg_warm_start_does_not_stall_inverse_iteration():
     # cg_rel_tol, a warm start returned unchanged would pin the residual
     # near mu * cg_rel_tol, above the 10 * eig_rel_tol stopping target
     g = mo.build_grid(mo.GridSpec(2, _MASK_H, ((0.0, 1.0), (0.0, 1.0)),
-                                  _lattice_mask([(7, 5), (7, 6), (7, 7)])))
+                                  Region.cells(_MASK_H, [(7, 5), (7, 6), (7, 7)])))
     _assert_backends_agree(mo.assemble_stiffness(g), np.ones(g.node_count))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt.cli import grid_csv
+from shapes import Region
 
 
 def test_unit_square_h_half_single_node():
@@ -48,7 +49,8 @@ def test_domain_volume_flat_square():
 def test_domain_volume_background_doubles():
     h = 1.0 / 8
     flat = mo.build_grid(mo.square_spec(h))
-    curved = mo.build_grid(mo.square_spec(h, background=lambda p: math.log(2.0) / 2.0))
+    curved = mo.build_grid(mo.square_spec(
+        h, background=lambda p: np.full(len(p), math.log(2.0) / 2.0)))
     assert mo.domain_volume(curved) == pytest.approx(2.0 * mo.domain_volume(flat), rel=1e-14)
 
 
@@ -107,14 +109,15 @@ def test_dumbbell_thin_neck_rejected():
 
 def test_disconnected_mask_records_warning():
     def two_blobs(p):
-        return (0.1 < p[0] < 0.4 or 0.6 < p[0] < 0.9) and 0.1 < p[1] < 0.9
+        x, y = p[:, 0], p[:, 1]
+        return (((0.1 < x) & (x < 0.4)) | ((0.6 < x) & (x < 0.9))) & (0.1 < y) & (y < 0.9)
 
     spec = mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)),
-                       mo.Mask(two_blobs, assume_connected=True))
+                       Region(two_blobs, assume_connected=True))
     g = mo.build_grid(spec)
     assert any("disconnected" in w for w in g.warnings)
     # without the declaration there is nothing to warn about
-    spec2 = mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)), mo.Mask(two_blobs))
+    spec2 = mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)), Region(two_blobs))
     assert mo.build_grid(spec2).warnings == ()
 
 
@@ -124,8 +127,26 @@ def test_connected_shapes_have_no_warning():
         assert mo.build_grid(spec).warnings == ()
 
 
+@pytest.mark.parametrize("spacing, bounds", [
+    (math.inf, ((0.0, 1.0), (0.0, 1.0))),
+    (0.25, ((0.0, math.inf), (0.0, 1.0))),
+    (0.25, ((0.0, 1.0), (-math.inf, 1.0))),
+], ids=["spacing", "hi", "lo"])
+def test_non_finite_spec_rejected(spacing, bounds):
+    with pytest.raises(ValueError, match="finite"):
+        mo.GridSpec(2, spacing, bounds, mo.Rectangle())
+
+
+@pytest.mark.parametrize("background", [
+    lambda p: 0.1, lambda p: np.zeros((len(p), 1)), lambda p: np.zeros(len(p) + 1),
+], ids=["scalar", "column", "long"])
+def test_background_of_wrong_shape_rejected(background):
+    with pytest.raises(ValueError, match=r"one w per node, shape \(49,\)"):
+        mo.build_grid(mo.square_spec(1.0 / 8, background=background))
+
+
 def test_background_rejected_off_2d():
-    spec = mo.square_spec(0.25, dimension=3, background=lambda p: 0.1)
+    spec = mo.square_spec(0.25, dimension=3, background=lambda p: np.full(len(p), 0.1))
     with pytest.raises(ValueError, match="flat background"):
         mo.build_grid(spec)
 
@@ -170,13 +191,13 @@ _REF_H = 1.0 / 6
 
 
 def _reference_nodes(spec):
-    """Interior nodes of a Mask or Rectangle spec, one predicate call each."""
+    """Interior nodes of a spec, one ``contains`` call per lattice point."""
     cells = [int(math.floor((hi - lo) / spec.spacing + 1e-9)) for lo, hi in spec.bounds]
     origin = np.array([lo for lo, _ in spec.bounds])
     nodes = []
     for idx in itertools.product(*(range(1, n) for n in cells)):
         point = origin + spec.spacing * np.asarray(idx, dtype=float)
-        if isinstance(spec.shape, mo.Rectangle) or spec.shape.predicate(point):
+        if spec.shape.contains(point[None])[0]:
             nodes.append(idx)
     return cells, nodes
 
@@ -239,8 +260,8 @@ def test_lattice_matches_reference_on_random_masks(inside, member_flags):
     cells = frozenset(point for point, keep in
                       zip(itertools.product(range(1, 6), repeat=2), inside) if keep)
     assume(cells)
-    mask = mo.Mask(lambda p: (round(p[0] / _REF_H), round(p[1] / _REF_H)) in cells)
-    g = mo.build_grid(mo.GridSpec(2, _REF_H, ((0.0, 1.0), (0.0, 1.0)), mask))
+    g = mo.build_grid(mo.GridSpec(2, _REF_H, ((0.0, 1.0), (0.0, 1.0)),
+                                  Region.cells(_REF_H, cells)))
     _check_against_reference(g, np.asarray(member_flags))
 
 
@@ -258,7 +279,7 @@ def test_lattice_matches_reference_on_boxes(dimension, data):
 
 def test_mirror_permutation_rejects_asymmetric_mask():
     g = mo.build_grid(mo.GridSpec(2, _REF_H, ((0.0, 1.0), (0.0, 1.0)),
-                                  mo.Mask(lambda p: p[0] < 0.4)))
+                                  Region(lambda p: p[:, 0] < 0.4)))
     assert mo.mirror_permutation(g, axis=1).shape == (g.node_count,)
     with pytest.raises(ValueError, match=r"not mirror-symmetric about axis 0 \(node \(1, 1\)"):
         mo.mirror_permutation(g, axis=0)

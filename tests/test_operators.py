@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt import operators
+from shapes import Region
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,8 @@ def test_stiffness_independent_of_background_bitwise():
     h = 1.0 / 16
 
     def bump(p):
-        s2 = (p[0] ** 2 + p[1] ** 2)
-        return 0.3 * math.exp(-4.0 * s2)
+        s2 = p[:, 0] ** 2 + p[:, 1] ** 2
+        return 0.3 * np.exp(-4.0 * s2)
 
     flat = mo.build_grid(mo.disk_spec(h))
     curved = mo.build_grid(mo.disk_spec(h, background=bump))
@@ -180,7 +181,8 @@ def test_weight_examples():
     g = mo.build_grid(mo.square_spec(1.0 / 3))
     assert np.array_equal(mo.assemble_weight(g, np.ones(4)), np.ones(4))
 
-    curved = mo.build_grid(mo.square_spec(1.0 / 3, background=lambda p: math.log(3.0) / 2.0))
+    curved = mo.build_grid(mo.square_spec(
+        1.0 / 3, background=lambda p: np.full(len(p), math.log(3.0) / 2.0)))
     assert mo.assemble_weight(curved, np.ones(4)) == pytest.approx(3.0 * np.ones(4), rel=1e-14)
 
     two_valued = np.array([0.25, 4.0, 0.25, 4.0])
@@ -194,7 +196,7 @@ def test_weight_rejects_nonpositive():
 
 
 def test_order4_rejects_background():
-    g = mo.build_grid(mo.square_spec(1.0 / 8, background=lambda p: 0.1))
+    g = mo.build_grid(mo.square_spec(1.0 / 8, background=lambda p: np.full(len(p), 0.1)))
     with pytest.raises(ValueError, match="flat background required for GJMS case"):
         mo.assemble_stiffness(g, order=4)
 
@@ -244,7 +246,7 @@ def _check_csr_identity(grid):
     mo.box_spec(0.25, [(0.0, 1.0), (0.0, 1.5), (0.0, 1.25)]),
     mo.square_spec(0.2, dimension=4),
     mo.disk_spec(1.0 / 16, center=(0.1, -0.2)),
-    mo.disk_spec(1.0 / 16, background=lambda p: 0.2 * p[0]),
+    mo.disk_spec(1.0 / 16, background=lambda p: 0.2 * p[:, 0]),
     mo.dumbbell_spec(1.0 / 16),
     mo.annulus_spec(1.0 / 12, 0.3, 1.0),
     mo.annulus_spec(0.25, 0.5, 1.0, dimension=3),
@@ -261,8 +263,8 @@ def test_direct_csr_matches_coo_on_random_masks(inside):
                       zip(itertools.product(range(1, 7), repeat=2), inside) if keep)
     assume(cells)
     h = 1.0 / 7
-    mask = mo.Mask(lambda p: (round(p[0] / h), round(p[1] / h)) in cells)
-    _check_csr_identity(mo.build_grid(mo.GridSpec(2, h, ((0.0, 1.0), (0.0, 1.0)), mask)))
+    _check_csr_identity(mo.build_grid(mo.GridSpec(2, h, ((0.0, 1.0), (0.0, 1.0)),
+                                                  Region.cells(h, cells))))
 
 
 def test_assembly_allocates_at_most_twice_the_matrix():

@@ -224,7 +224,7 @@ def _bathtub_grid(name):
         return _grid_9()
     if name == "curved 2D":
         def bump(p):
-            return 0.3 * math.exp(-3.0 * ((p[0] - 0.4) ** 2 + (p[1] - 0.6) ** 2))
+            return 0.3 * np.exp(-3.0 * ((p[:, 0] - 0.4) ** 2 + (p[:, 1] - 0.6) ** 2))
         return mo.build_grid(mo.square_spec(1.0 / 16, background=bump))
     return mo.build_grid(mo.square_spec(0.1, dimension=4))
 
@@ -449,7 +449,7 @@ def test_minimize_mirror_equivariance():
 
 def test_minimize_conformal_background_consistency():
     def bump(p):
-        return 0.3 * math.exp(-3.0 * ((p[0] - 0.5) ** 2 + (p[1] - 0.5) ** 2))
+        return 0.3 * np.exp(-3.0 * ((p[:, 0] - 0.5) ** 2 + (p[:, 1] - 0.5) ** 2))
 
     curved = mo.build_grid(mo.square_spec(1.0 / 12, background=bump))
     flat = mo.build_grid(mo.square_spec(1.0 / 12))

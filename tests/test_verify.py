@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import membrane_opt as mo
 from membrane_opt.cli import contour_csv
 from membrane_opt.verify import _chain_segments, pure_difference_sup
+from shapes import Region
 
 
 def _grid_n(n):
@@ -66,7 +67,7 @@ def test_oracle_scale_cap():
 
 
 def test_oracle_requires_uniform_cells():
-    g = mo.build_grid(mo.square_spec(1.0 / 3, background=lambda p: 0.2 * p[0]))
+    g = mo.build_grid(mo.square_spec(1.0 / 3, background=lambda p: 0.2 * p[:, 0]))
     spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=mo.domain_volume(g))
     with pytest.raises(ValueError, match="uniform node volumes"):
         mo.enumerate_optimal(spec)
@@ -119,9 +120,10 @@ def test_count_components_cases():
 
 def test_count_components_two_blobs_mask():
     def blobs(p):
-        return (0.05 < p[0] < 0.4 or 0.6 < p[0] < 0.95) and 0.05 < p[1] < 0.95
+        x, y = p[:, 0], p[:, 1]
+        return (((0.05 < x) & (x < 0.4)) | ((0.6 < x) & (x < 0.95))) & (0.05 < y) & (y < 0.95)
 
-    g = mo.build_grid(mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)), mo.Mask(blobs)))
+    g = mo.build_grid(mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)), Region(blobs)))
     assert mo.count_components(np.arange(g.node_count), g) == 2
 
 
@@ -231,14 +233,10 @@ def _contour_cases(draw):
 def test_array_contour_matches_cell_loop(case):
     n0, n1, keep, values, level = case
     h = 0.25
-    members = {divmod(k, n1 - 1) for k, kept in enumerate(keep) if kept}
-
-    def predicate(point):
-        i, j = round((point[0] + 0.5) / h), round((point[1] - 0.25) / h)
-        return (i - 1, j - 1) in members
-
+    members = [(i + 1, j + 1) for i, j in
+               (divmod(k, n1 - 1) for k, kept in enumerate(keep) if kept)]
     bounds = ((-0.5, -0.5 + n0 * h), (0.25, 0.25 + n1 * h))
-    g = mo.build_grid(mo.GridSpec(2, h, bounds, mo.Mask(predicate)))
+    g = mo.build_grid(mo.GridSpec(2, h, bounds, Region.cells(h, members, (-0.5, 0.25))))
     assert g.node_count == len(values)
     phi = np.array(values)
     got = mo.extract_contour(phi, level, g).polylines
