@@ -8,7 +8,6 @@ optional coarse four-dimensional run.
 
 import argparse
 import time
-import warnings
 
 import numpy as np
 
@@ -63,12 +62,10 @@ def main() -> None:
     parser.add_argument("--with-4d", action="store_true",
                         help="also run the coarse four-dimensional case")
     args = parser.parse_args()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        self_convergence()
-        composite_plate()
-        if args.with_4d:
-            four_dimensional()
+    self_convergence()
+    composite_plate()
+    if args.with_4d:
+        four_dimensional()
 
 
 if __name__ == "__main__":

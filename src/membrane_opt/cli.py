@@ -352,6 +352,9 @@ def parse_config(text: str, subcommand: str | None = None,
         raise ConfigError(f"key 'n': exponent must be >= 2, got {n}")
     if values["cg_tol"] is None:
         values["cg_tol"] = 1e-12 if p == 4 else 1e-10
+    if p == 4 and values["bump_amplitude"] != 0.0:
+        raise ConfigError("key 'bump_amplitude': order 4 needs a flat background "
+                          f"(w = 0), got amplitude {values['bump_amplitude']!r}")
 
     try:
         flat_spec = _build_grid_spec(values)
@@ -391,6 +394,8 @@ def parse_config(text: str, subcommand: str | None = None,
         raise ConfigError(f"key 'seeds': seeds must be >= 0, got {min(values['seeds'])}")
     if values["check_levels"] < 2:
         raise ConfigError("key 'check_levels': need at least 2 refinement levels")
+    if values["oracle_cap"] < 1:
+        raise ConfigError(f"key 'oracle_cap': must be >= 1, got {values['oracle_cap']}")
 
     if sub == "oracle":
         try:

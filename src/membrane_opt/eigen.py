@@ -3,7 +3,11 @@
 Every inner solve goes through ``solve_spd``, which has two backends: the
 cached sparse LU factor of an assembled stiffness matrix (2D grids up to
 ``FACTOR_MAX_NODES`` nodes, see ``StiffnessMatrix.factored``), and plain
-conjugate gradients for every other matrix.  With a factor, the outer loop
+conjugate gradients for every other matrix.  Every matrix-vector product
+of the conjugate-gradient path, in ``solve_spd`` and in the power step,
+takes the matrix's diagonal (DIA) copy where the grid fills its lattice
+(see ``StiffnessMatrix``) and its CSR form elsewhere; the two give the
+same bits.  With a factor, the outer loop
 is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2):517-541, 2001) on a block
 of ``BLOCK_WIDTH`` vectors with the factor as an exact preconditioner,
 deepened by ``KRYLOV_DEPTH`` Krylov levels: each step solves with the
@@ -134,7 +138,12 @@ class EigenPair:
 
 
 def _matrix(A) -> "np.ndarray | object":
-    return getattr(A, "matrix", A)
+    """The storage that vector products with A use: a StiffnessMatrix's
+    diagonal copy where it has one, else its CSR matrix; A itself for any
+    other operator."""
+    if isinstance(A, StiffnessMatrix):
+        return A.matrix if A.diagonals is None else A.diagonals
+    return A
 
 
 def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.ndarray:

@@ -278,6 +278,13 @@ class Grid:
     def flat(self) -> bool:
         return bool(np.all(self.e2w == 1.0))
 
+    @property
+    def fills_lattice(self) -> bool:
+        """Whether every lattice point off the bounding-box boundary is a
+        node, as on boxes; a step between lattice points is then one
+        constant offset between node indices."""
+        return self.node_count == math.prod(c - 1 for c in self.lattice_cells)
+
     def coordinates(self) -> np.ndarray:
         """Physical node centers, shape (N, d)."""
         coords = self.nodes * self.spacing

@@ -133,8 +133,9 @@ def plate_runs(tmp_path_factory):
         "eig_tol = 1e-8\n"
     )  # M = vol = 9^4 / 10^4
     out4 = plate_dir / "out4d"
+    # the run warns of nothing: a RuntimeWarning, as of near-degeneracy, fails it
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         out["plate4_exit"] = cli_main(["plate", "--config", str(cfg4),
                                        "--out", str(out4)])
     out["plate4_out"] = out4

@@ -80,6 +80,14 @@ def test_infeasible_mass_names_constraint():
      "grid construction failed: .* not finite"),
     ("shape = rectangle\nbbox = 0,1,-inf,1\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "grid construction failed: .* not finite"),
+    ("shape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\np = 4\n"
+     "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
+    ("subcommand = plate\nshape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
+     "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\noracle_cap = -1\n",
+     "key 'oracle_cap': must be >= 1"),
+    ("subcommand = oracle\nshape = square\nh = 1/4\nA = 0.5\nM = 0.5\noracle_cap = 0\n",
+     "key 'oracle_cap': must be >= 1"),
 ])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -507,6 +515,19 @@ def test_non_finite_input_exits_1_without_output(tmp_path, capsys, lines, messag
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, order", [("plate", ""), ("solve", "p = 4\n")],
+                         ids=["plate", "solve-p4"])
+def test_curved_order_4_exits_1_without_output(tmp_path, capsys, subcommand, order):
+    cfg = _write_cfg(tmp_path, "shape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
+                               f"bump_amplitude = 0.3\n{order}")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key 'bump_amplitude': order 4 needs a flat background")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -505,3 +506,57 @@ def test_factored_solve_of_a_zero_block_makes_no_factor_call(monkeypatch):
     monkeypatch.setitem(a.__dict__, "factor", Refusing())
     x = solve_spd(a, np.zeros((g.node_count, 2)), 1e-10)
     assert x.shape == (g.node_count, 2) and not x.any()
+
+
+class _CountingProducts:
+    """A matrix stand-in that counts its vector products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.shape = mat.shape
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.mat @ x
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_cg_eigenpair_takes_diagonal_products_bitwise(order):
+    # the CG path on a 3D box: diagonal storage against the same matrix
+    # with its CSR form alone, on a weight that makes W non-trivial
+    g = mo.build_grid(mo.square_spec(1.0 / 7, dimension=3))
+    a = mo.assemble_stiffness(g, order=order)
+    assert a.factor is None and a.diagonals is not None
+    w = np.random.default_rng(order).uniform(0.5, 2.0, g.node_count)
+    opts = mo.SolverOptions(cg_rel_tol=1e-12, eig_rel_tol=1e-10, max_iterations=4000)
+    csr = dataclasses.replace(a, diagonals=None)
+    got = mo.first_eigenpair(a, w, opts)
+    want = mo.first_eigenpair(csr, w, opts)
+    assert got.eigenvalue == want.eigenvalue
+    assert got.vector.tobytes() == want.vector.tobytes()
+    assert got.residual == want.residual
+    assert got.iterations == want.iterations > 1
+    # every product of the run goes through the diagonal copy
+    spied = dataclasses.replace(a, matrix=_CountingProducts(a.matrix),
+                                diagonals=_CountingProducts(a.diagonals))
+    again = mo.first_eigenpair(spied, w, opts)
+    assert again.vector.tobytes() == want.vector.tobytes()
+    assert spied.matrix.products == 0 and spied.diagonals.products > again.iterations
+
+
+def test_cg_solve_takes_diagonal_products_bitwise():
+    # cold and warm starts, each long enough for the periodic residual refresh
+    g = mo.build_grid(mo.square_spec(1.0 / 7, dimension=3))
+    a = mo.assemble_stiffness(g, order=4)
+    assert a.factor is None and a.diagonals is not None
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(g.node_count)
+    csr = dataclasses.replace(a, diagonals=None)
+    for guess in (None, rng.standard_normal(g.node_count)):
+        spied = dataclasses.replace(a, matrix=_CountingProducts(a.matrix),
+                                    diagonals=_CountingProducts(a.diagonals))
+        want = solve_spd(csr, b, 1e-12, x0=guess).tobytes()
+        assert solve_spd(a, b, 1e-12, x0=guess).tobytes() == want
+        assert solve_spd(spied, b, 1e-12, x0=guess).tobytes() == want
+        assert spied.matrix.products == 0 and spied.diagonals.products > 50

@@ -278,3 +278,58 @@ def test_assembly_allocates_at_most_twice_the_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# diagonal storage of full-lattice matrices on the conjugate-gradient path
+
+# boxes in dimensions 1 to 4 and two rectangles, none of them factored: the
+# 2D ones exceed FACTOR_MAX_NODES
+_FULL_LATTICE = {
+    "line": mo.square_spec(1.0 / 9, dimension=1),
+    "square": mo.square_spec(1.0 / 130),
+    "cube": mo.square_spec(1.0 / 7, dimension=3),
+    "tesseract": mo.square_spec(1.0 / 5, dimension=4),
+    "rectangle": mo.box_spec(1.0 / 100, [(0.0, 2.0), (0.0, 1.0)]),
+    "box": mo.box_spec(1.0 / 6, [(0.0, 1.0), (0.0, 0.5), (-1.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", sorted(_FULL_LATTICE))
+def test_diagonal_products_match_csr_bitwise(name, order):
+    grid = mo.build_grid(_FULL_LATTICE[name])
+    a = mo.assemble_stiffness(grid, order=order)
+    assert grid.fills_lattice and not a.factored
+    dia = a.diagonals
+    assert np.all(np.diff(dia.offsets) > 0)
+    assert dia.data.shape == (dia.offsets.size, grid.node_count)
+    assert (dia.tocsr() != a.matrix).nnz == 0
+    rng = np.random.default_rng(order * 100 + grid.dimension)
+    for _ in range(3):
+        # entries spread over many binades, so that the order of the sums shows
+        x = rng.standard_normal(grid.node_count) * np.exp(
+            rng.uniform(-20.0, 20.0, grid.node_count))
+        assert (dia @ x).tobytes() == (a.matrix @ x).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    mo.disk_spec(1.0 / 80),
+    mo.disk_spec(1.0 / 5, dimension=3),
+    mo.dumbbell_spec(1.0 / 96),
+    mo.annulus_spec(1.0 / 6, 0.3, 1.0, dimension=3),
+], ids=["disk", "ball", "dumbbell", "shell"])
+def test_masked_grids_build_no_diagonal_copy(spec):
+    grid = mo.build_grid(spec)
+    assert not grid.fills_lattice
+    for order in (2, 4):
+        a = mo.assemble_stiffness(grid, order=order)
+        assert not a.factored and a.diagonals is None
+
+
+def test_factored_matrices_build_no_diagonal_copy():
+    grid = mo.build_grid(mo.square_spec(1.0 / 16))
+    assert grid.fills_lattice
+    for order in (2, 4):
+        a = mo.assemble_stiffness(grid, order=order)
+        assert a.factored and a.diagonals is None
