@@ -375,6 +375,9 @@ def parse_config(text: str, subcommand: str | None = None,
             lam, big_lam = conformal_bounds(bound_exponent, n)
         except ValueError as exc:
             raise ConfigError(f"key 'A': {exc}") from exc
+    elif not 0.0 < lam <= big_lam < math.inf:
+        raise ConfigError("keys 'lam'/'Lam': need 0 < lam <= Lam < inf, "
+                          f"got ({lam}, {big_lam})")
     values.update(rho_min=lam, rho_max=big_lam)
 
     try:

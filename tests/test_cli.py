@@ -88,10 +88,55 @@ def test_infeasible_mass_names_constraint():
      "key 'oracle_cap': must be >= 1"),
     ("subcommand = oracle\nshape = square\nh = 1/4\nA = 0.5\nM = 0.5\noracle_cap = 0\n",
      "key 'oracle_cap': must be >= 1"),
+    ("shape = square\nh = 1/8\nlam = 0\nLam = 2\nM = 0.7\n",
+     "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
+    ("shape = square\nh = 1/8\nlam = -1\nLam = 2\nM = 0.7\n",
+     "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
+    ("shape = square\nh = 1/8\nlam = nan\nLam = 2\nM = 0.7\n",
+     "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
+    ("shape = square\nh = 1/8\nlam = 0.5\nLam = inf\nM = 0.7\n",
+     "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
+    ("shape = square\nh = 1/8\nlam = 2\nLam = 1\nM = 0.7\n",
+     "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
+    ("shape = square\nh = 1/x\nA = 0.5\nM = 0.7\n", "key 'h': not a number"),
+    ("shape = square\nd = two\nh = 1/8\nA = 0.5\nM = 0.7\n", "key 'd': not an integer"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nexport_fields = maybe\n",
+     "key 'export_fields': not a boolean"),
+    ("shape = rectangle\nbbox = 0,1,0\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'bbox': needs an even number of entries"),
+    ("shape = rectangle\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'bbox': required for shape rectangle"),
+    ("shape = rectangle\nbbox = 0,1,0,1,0,1\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'bbox': gives 3 axes, d = 2"),
+    ("shape = disk\ncenter = 0,0,0\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'center': needs 2 components"),
+    ("shape = annulus\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "keys 'r_in'/'r_out': required for shape annulus"),
+    ("shape = dumbbell\nd = 3\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'shape': dumbbell requires d = 2"),
+    ("shape square\nh = 1/8\nA = 0.5\nM = 0.7\n", "line 1: expected 'key = value'"),
+    ("shape = square\nh =\nA = 0.5\nM = 0.7\n", "line 2: empty value for key 'h'"),
+    ("subcommand = relax\nshape = square\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'subcommand': unknown subcommand 'relax'"),
+    ("subcommand = plate\nshape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 2\n",
+     "key 'p': the plate subcommand is the order-4 run"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nn = 1\n", "key 'n': exponent must be >= 2"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nmax_power_iterations = 0\n",
+     "solver options: iteration cap must be >= 1"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nmax_alternations = 0\n",
+     "key 'max_alternations': must be >= 1"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\ncheck_levels = 1\n",
+     "key 'check_levels': need at least 2"),
 ])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+def test_config_subcommand_must_match_the_command_line():
+    with pytest.raises(ConfigError, match="key 'subcommand': config says 'sweep', "
+                                          "command line says 'solve'"):
+        parse_config(MINIMAL + "subcommand = sweep\n", subcommand="solve")
 
 
 def test_plate_subcommand_defaults_to_order_4():

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt.cli import parse_config
-from membrane_opt.eigen import CGStagnationError, EigenConvergenceError, solve_spd
+from membrane_opt.eigen import (
+    CGStagnationError,
+    EigenConvergenceError,
+    _Lobpcg,
+    solve_spd,
+)
 from membrane_opt.operators import FACTOR_MAX_NODES
 from shapes import Region
 
@@ -411,6 +416,23 @@ def test_lobpcg_from_the_exact_eigenvector_drops_the_vanished_column():
     assert pair.iterations <= 2
     assert np.all(np.isfinite(pair.vector)) and np.isfinite(pair.residual)
     assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
+
+
+@pytest.mark.parametrize("h, node", [(0.5, 0), (1.0 / 8, 10)],
+                         ids=["one-node-grid", "one-node-start"])
+def test_width_one_block_agrees_with_dense(h, node):
+    # the two start columns x and x * ramp are parallel when x lives on one
+    # node, so the block keeps one column for the whole run
+    g, a = _laplacian(h)
+    w = np.linspace(0.5, 2.0, g.node_count)
+    start = np.zeros(g.node_count)
+    start[node] = 1.0
+    assert _Lobpcg(start, w).width == 1
+    values = scipy.linalg.eigvalsh(a.to_dense(), np.diag(w))
+    for pair in (mo.first_eigenpair(a, w, start=start),
+                 mo.first_eigenpair(a.matrix, w, start=start)):
+        assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
+        assert pair.residual <= 10.0 * mo.SolverOptions().eig_rel_tol
 
 
 def test_krylov_levels_resolve_the_tilted_symmetric_dumbbell_in_four_steps():

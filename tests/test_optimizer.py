@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import membrane_opt as mo
 from membrane_opt import operators, optimizer
 from membrane_opt.cli import parse_config
-from membrane_opt.optimizer import CONVERGED, MAX_ITER
+from membrane_opt.optimizer import CONVERGED, CYCLING, MAX_ITER
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -321,6 +321,32 @@ def test_minimize_status_max_iter():
     *_, trace = mo.minimize(spec, max_alternations=1)
     assert trace.status == MAX_ITER
     assert len(trace) == 1
+
+
+def test_minimize_status_cycling(monkeypatch):
+    # a stand-in eigensolver alternates two vectors whose bathtub splits
+    # differ, so the third split repeats the first
+    g = _grid_9()
+    spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=1.5 * mo.domain_volume(g))
+    x = g.coordinates()[:, 0]
+    vectors = [1.0 + x, 5.0 - x]
+    calls = []
+
+    def alternating(stiffness, weights, opts, start=None):
+        vector = vectors[len(calls) % 2]
+        calls.append(vector)
+        return mo.EigenPair(eigenvalue=1.0, vector=vector, residual=0.0, iterations=1)
+
+    monkeypatch.setattr(optimizer, "first_eigenpair", alternating)
+    splits = [mo.bathtub_rearrange(v, g, spec)[1] for v in vectors]
+    assert not optimizer._same_split(*splits)
+    density, _, part, trace = mo.minimize(spec)
+    assert trace.status == CYCLING
+    assert len(trace) == len(calls) == 3
+    again, again_part = mo.bathtub_rearrange(calls[2], g, spec)
+    assert np.array_equal(part.high_nodes, again_part.high_nodes)
+    assert part.fractional_node == again_part.fractional_node
+    assert density.values.tobytes() == again.values.tobytes()
 
 
 def _square_cfg_problem():
