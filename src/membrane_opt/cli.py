@@ -12,9 +12,10 @@ its parser and default; the parsed table, with the density box in place of
     check   conformal-invariance, regularity, and symmetry reports
     plate   order-4 (clamped bilaplacian) run with the solve export set
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence.  Every
-emitted file carries header comments with the config hash, grid size, and
-density bounds; identical configs byte-reproduce identical artifacts.
+Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence.
+Every emitted file carries header comments with the config hash, grid
+size, and density bounds; identical configs byte-reproduce identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -99,15 +100,6 @@ def _parse_int(key: str, text: str) -> int:
         raise ConfigError(f"key '{key}': not an integer: {text!r}") from exc
 
 
-def _parse_bool(key: str, text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"key '{key}': not a boolean: {text!r}")
-
-
 def _parse_floats(key: str, text: str) -> tuple[float, ...]:
     return tuple(_parse_number(key, part.strip()) for part in text.split(","))
 
@@ -124,8 +116,8 @@ def _parse_bbox(key: str, text: str) -> tuple[tuple[float, float], ...]:
 
 
 # Every config key with its parser and its default text.  A default of None
-# leaves an absent key None: parse_config then fills p, n and cg_tol from
-# other keys, and A, lam and Lam are alternatives.  _REQUIRED keys must be
+# leaves an absent key None: parse_config then fills p and n from other
+# keys, and A, lam and Lam are alternatives.  _REQUIRED keys must be
 # given.
 _REQUIRED = object()
 _KEYS = {
@@ -149,18 +141,12 @@ _KEYS = {
     "M": (_parse_number, _REQUIRED),
     "n": (_parse_int, None),
     "p": (_parse_int, None),
-    "cg_tol": (_parse_number, None),
     "eig_tol": (_parse_number, "1e-9"),
     "max_power_iterations": (_parse_int, "500"),
     "max_alternations": (_parse_int, "200"),
     "seeds": (_parse_ints, "0"),
     "out": (_parse_text, "out"),
     "check_levels": (_parse_int, "3"),
-    "oracle_cap": (_parse_int, "20"),
-    "export_fields": (_parse_bool, "true"),
-    "export_trace": (_parse_bool, "true"),
-    "export_contours": (_parse_bool, "true"),
-    "export_images": (_parse_bool, "true"),
 }
 
 
@@ -197,12 +183,7 @@ class RunConfig:
     max_alternations: int
     seeds: tuple[int, ...]
     out: str
-    export_fields: bool
-    export_trace: bool
-    export_contours: bool
-    export_images: bool
     check_levels: int
-    oracle_cap: int
 
     @property
     def grid(self) -> Grid:
@@ -287,8 +268,7 @@ def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
 
 
 def parse_config(text: str, subcommand: str | None = None,
-                 out_override: str | None = None,
-                 seeds_override: str | None = None) -> RunConfig:
+                 out_override: str | None = None) -> RunConfig:
     """Validate ``key = value`` text into a RunConfig, defaults applied.
 
     Unknown or duplicate keys are rejected; errors name the offending key
@@ -316,9 +296,8 @@ def parse_config(text: str, subcommand: str | None = None,
             f"key 'subcommand': config says {pairs['subcommand']!r}, "
             f"command line says {subcommand!r}"
         )
-    for key, override in (("out", out_override), ("seeds", seeds_override)):
-        if override:
-            pairs[key] = override
+    if out_override:
+        pairs["out"] = out_override
 
     values: dict = {}
     for key, (parse, default) in _KEYS.items():
@@ -350,8 +329,6 @@ def parse_config(text: str, subcommand: str | None = None,
     n = values["n"]
     if n < 2:
         raise ConfigError(f"key 'n': exponent must be >= 2, got {n}")
-    if values["cg_tol"] is None:
-        values["cg_tol"] = 1e-12 if p == 4 else 1e-10
     if p == 4 and values["bump_amplitude"] != 0.0:
         raise ConfigError("key 'bump_amplitude': order 4 needs a flat background "
                           f"(w = 0), got amplitude {values['bump_amplitude']!r}")
@@ -387,7 +364,10 @@ def parse_config(text: str, subcommand: str | None = None,
         raise ConfigError(f"key 'M': {exc}") from exc
 
     try:
-        solver = SolverOptions(cg_rel_tol=values["cg_tol"], eig_rel_tol=values["eig_tol"],
+        # the eigen residual floor scales with the eigenvalue, so p = 4
+        # tightens the inner CG solves
+        solver = SolverOptions(cg_rel_tol=1e-12 if p == 4 else 1e-10,
+                               eig_rel_tol=values["eig_tol"],
                                max_iterations=values["max_power_iterations"])
     except ValueError as exc:
         raise ConfigError(f"solver options: {exc}") from exc
@@ -397,12 +377,10 @@ def parse_config(text: str, subcommand: str | None = None,
         raise ConfigError(f"key 'seeds': seeds must be >= 0, got {min(values['seeds'])}")
     if values["check_levels"] < 2:
         raise ConfigError("key 'check_levels': need at least 2 refinement levels")
-    if values["oracle_cap"] < 1:
-        raise ConfigError(f"key 'oracle_cap': must be >= 1, got {values['oracle_cap']}")
 
     if sub == "oracle":
         try:
-            check_oracle_input(grid, values["oracle_cap"])
+            check_oracle_input(grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -548,20 +526,17 @@ def _status_file(out: Path, config: RunConfig, ok: bool, detail: str) -> None:
 
 def _export_solution(config: RunConfig, out: Path, density, pair, partition, trace) -> None:
     head = config.header_lines
-    if config.export_fields:
-        _write(out / "density.csv", density_csv,
-               density, config.problem.exponent, head("density field"))
-        _write(out / "eigenfunction.csv", eigenfunction_csv, pair.vector,
-               head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}"))
-        _write(out / "grid.csv", grid_csv, config.grid, head("grid nodes"))
-    if config.export_trace:
-        _write(out / "trace.txt", trace_text, trace, config.trace_header())
+    _write(out / "density.csv", density_csv,
+           density, config.problem.exponent, head("density field"))
+    _write(out / "eigenfunction.csv", eigenfunction_csv, pair.vector,
+           head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}"))
+    _write(out / "grid.csv", grid_csv, config.grid, head("grid nodes"))
+    _write(out / "trace.txt", trace_text, trace, config.trace_header())
     _write(out / "partition.txt", partition_text, partition, head("low-region partition"))
-    if config.export_contours and config.grid.dimension == 2:
+    if config.grid.dimension == 2:
         contours = extract_contour(pair.vector, partition.threshold, config.grid)
         _write(out / "contours.csv", contour_csv,
                contours, head(f"level curves at threshold={partition.threshold!r}"))
-    if config.export_images and config.grid.dimension == 2:
         (out / "phi.pgm").write_bytes(
             pgm_bytes(config.grid, pair.vector, "phi", head("eigenfunction image")))
         indicator = np.zeros(config.grid.node_count)
@@ -588,7 +563,7 @@ def _seed_runs(config: RunConfig) -> list:
 
 
 def _run_oracle(config: RunConfig, out: Path) -> int:
-    oracle = enumerate_optimal(config.problem, node_cap=config.oracle_cap)
+    oracle = enumerate_optimal(config.problem)
     results = _seed_runs(config)
     best = min(r[1].eigenvalue for r in results)
     rel = abs(best - oracle.eigenvalue) / abs(oracle.eigenvalue)
@@ -698,23 +673,21 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "verdict": "PASS" if report.bounded() else "FAIL"})
 
     # symmetry: reflected converged densities give the same eigenvalue
-    symmetric_axes = []
+    mirrors = {}
     for axis in range(config.grid.dimension):
         try:
-            mirror_permutation(config.grid, axis)
-            symmetric_axes.append(axis)
+            mirrors[axis] = mirror_permutation(config.grid, axis)
         except ValueError:
             pass
-    fields = {"symmetric_axes": symmetric_axes}
+    fields = {"symmetric_axes": list(mirrors)}
     equivariant = True
-    if symmetric_axes:
+    if mirrors:
         if flat_config:
             density, pair, _, _ = report.solutions[0]
         else:
             density, pair, _, _ = minimize(config.problem, opts=config.solver,
                                            max_alternations=config.max_alternations)
-        for axis in symmetric_axes:
-            perm = mirror_permutation(config.grid, axis)
+        for axis, perm in mirrors.items():
             reflected = np.empty_like(density.values)
             reflected[perm] = density.values
             mu_ref = first_eigenpair(
@@ -744,7 +717,7 @@ def run(config: RunConfig) -> int:
         return _run_check(config, out)
     except SolverError as exc:
         partial = getattr(exc, "partial_trace", None)
-        if partial is not None and config.export_trace:
+        if partial is not None:
             partial.status = "aborted"
             _write(out / "trace.txt", trace_text, partial, config.trace_header())
         _status_file(out, config, False, f"solver failure: {exc}")
@@ -761,9 +734,12 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", required=True, help="path to key = value config")
         sub.add_argument("--out", default=None, help="output directory override")
-        sub.add_argument("--seed-list", default=None,
-                         help="comma-separated seed override")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code that here means
+        # non-convergence; --help exits 0
+        return 1 if exc.code else 0
 
     try:
         text = Path(args.config).read_text()
@@ -772,8 +748,7 @@ def main(argv=None) -> int:
         return 1
     try:
         config = parse_config(text, subcommand=args.subcommand,
-                              out_override=args.out,
-                              seeds_override=args.seed_list)
+                              out_override=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,16 @@ applies across that edge.
 
 Both per-point inputs are array functions, each called once per grid.  A
 shape is any object with a vectorized ``contains(points)`` that maps the
-(N, d) array of lattice point centers to an (N,) bool array, plus an
-optional ``assume_connected`` flag; ``Rectangle``, ``Disk``, ``Annulus``
-and ``Dumbbell`` are built in.  Each node optionally carries a background
-weight ``e^(2w)``: the exponent field ``w`` maps the (N, d) array of node
-centers to an (N,) float array, and the measure of a node is then
-``e^(2w) * h^d``.  Away from two dimensions the background must be flat
-(``w = 0``): the second-order stiffness stencil is weight-free only in 2D.
-The node table artifact is written by ``cli.grid_csv``.
+(N, d) array of lattice point centers to an (N,) bool array;
+``Rectangle``, ``Disk``, ``Annulus`` and ``Dumbbell`` are built in.  A
+grid may be disconnected (a thin annulus can split); the weighted
+eigenproblem is well posed on it all the same.  Each node optionally
+carries a background weight ``e^(2w)``: the exponent field ``w`` maps the
+(N, d) array of node centers to an (N,) float array, and the measure of a
+node is then ``e^(2w) * h^d``.  Away from two dimensions the background
+must be flat (``w = 0``): the second-order stiffness stencil is
+weight-free only in 2D.  The node table artifact is written by
+``cli.grid_csv``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ __all__ = [
 class Rectangle:
     """The full bounding box; the lattice-boundary rule carves the walls."""
 
-    assume_connected = True
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         return np.ones(points.shape[0], dtype=bool)
 
@@ -77,8 +77,6 @@ class Disk:
     center: tuple[float, ...]
     radius: float
 
-    assume_connected = True
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         return _squared_distance(points, self.center) < self.radius**2
 
@@ -90,8 +88,6 @@ class Annulus:
     center: tuple[float, ...]
     inner_radius: float
     outer_radius: float
-
-    assume_connected = True
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         r2 = _squared_distance(points, self.center)
@@ -111,8 +107,6 @@ class Dumbbell:
     neck_length: float
     neck_width: float
 
-    assume_connected = True
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         x, y = points[:, 0], points[:, 1]
         a, length, width = self.bell, self.neck_length, self.neck_width
@@ -127,9 +121,7 @@ class Dumbbell:
 
 
 class Shape(Protocol):
-    """Vectorized membership of (N, d) point centers, an (N,) bool array.
-    An optional ``assume_connected = True`` asks ``build_grid`` to warn if
-    the shape discretizes disconnected."""
+    """Vectorized membership of (N, d) point centers, an (N,) bool array."""
 
     def contains(self, points: np.ndarray) -> np.ndarray: ...
 
@@ -148,7 +140,8 @@ class GridSpec:
     ``bounds`` is one finite (lo, hi) pair per axis and ``spacing`` a
     finite positive h.  ``shape`` is any object with a vectorized
     ``contains(points)`` that maps the (N, d) array of lattice point
-    centers to an (N,) bool array, and optionally ``assume_connected``.
+    centers to an (N,) bool array.  A dumbbell needs a neck at least 2h
+    wide, which keeps its discrete domain connected.
     ``background`` is an optional exponent field w, called once with the
     (N, d) array of node centers and returning an (N,) float array (None
     means flat, w = 0).
@@ -177,7 +170,7 @@ class GridSpec:
         if isinstance(self.shape, Dumbbell):
             if self.dimension != 2:
                 raise ValueError("dumbbell shape is two-dimensional")
-            if self.shape.neck_width < 2.0 * self.spacing:
+            if not self.shape.neck_width >= 2.0 * self.spacing:
                 raise ValueError(
                     "dumbbell neck width must be >= 2h so the discrete "
                     f"domain is connected (width {self.shape.neck_width}, "
@@ -247,7 +240,6 @@ class Grid:
     lattice: np.ndarray
     e2w: np.ndarray
     lattice_cells: tuple[int, ...]
-    warnings: tuple[str, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -334,8 +326,7 @@ def build_grid(spec: GridSpec) -> Grid:
     Interior nodes are exactly the lattice points whose center satisfies
     the shape predicate and which do not lie on the lattice boundary of
     the bounding box.  Raises on an empty interior and on a background
-    weight e^(2w) that overflows or underflows; records a warning on the
-    grid if a shape declared connected discretizes disconnected.
+    weight e^(2w) that overflows or underflows.
     """
     d, h = spec.dimension, spec.spacing
     cells = []
@@ -383,15 +374,6 @@ def build_grid(spec: GridSpec) -> Grid:
     else:
         e2w = np.ones(n)
 
-    warnings: tuple[str, ...] = ()
-    if getattr(spec.shape, "assume_connected", False):
-        parts = component_count(neighbors, np.ones(n, dtype=bool))
-        if parts > 1:
-            warnings = (
-                f"disconnected interior: {parts} components for a shape "
-                "declared connected",
-            )
-
     for arr in (node_arr, neighbors, lattice, e2w):
         arr.setflags(write=False)
     return Grid(
@@ -401,7 +383,6 @@ def build_grid(spec: GridSpec) -> Grid:
         lattice=lattice,
         e2w=e2w,
         lattice_cells=tuple(cells),
-        warnings=warnings,
     )
 
 

@@ -2,7 +2,7 @@
 
 ``build_grid`` takes any object with a vectorized ``contains(points)``
 that maps the (N, d) array of lattice point centers to an (N,) bool
-array, and optionally ``assume_connected``.
+array.
 """
 
 from collections.abc import Callable, Iterable
@@ -16,7 +16,6 @@ class Region:
     """Shape whose ``inside`` maps (N, d) point centers to an (N,) bool array."""
 
     inside: Callable[[np.ndarray], np.ndarray]
-    assume_connected: bool = False
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.inside(points), dtype=bool)

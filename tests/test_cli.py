@@ -39,7 +39,6 @@ def test_minimal_config_defaults():
     assert rc.problem.exponent == 2
     assert rc.seeds == (0,)
     assert rc.solver.cg_rel_tol == 1e-10
-    assert rc.export_fields and rc.export_trace
 
 
 def test_bound_exponent_echoes_derived_box():
@@ -84,10 +83,6 @@ def test_infeasible_mass_names_constraint():
      "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
     ("subcommand = plate\nshape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
      "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
-    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\noracle_cap = -1\n",
-     "key 'oracle_cap': must be >= 1"),
-    ("subcommand = oracle\nshape = square\nh = 1/4\nA = 0.5\nM = 0.5\noracle_cap = 0\n",
-     "key 'oracle_cap': must be >= 1"),
     ("shape = square\nh = 1/8\nlam = 0\nLam = 2\nM = 0.7\n",
      "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
     ("shape = square\nh = 1/8\nlam = -1\nLam = 2\nM = 0.7\n",
@@ -100,8 +95,6 @@ def test_infeasible_mass_names_constraint():
      "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
     ("shape = square\nh = 1/x\nA = 0.5\nM = 0.7\n", "key 'h': not a number"),
     ("shape = square\nd = two\nh = 1/8\nA = 0.5\nM = 0.7\n", "key 'd': not an integer"),
-    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nexport_fields = maybe\n",
-     "key 'export_fields': not a boolean"),
     ("shape = rectangle\nbbox = 0,1,0\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "key 'bbox': needs an even number of entries"),
     ("shape = rectangle\nh = 1/8\nA = 0.5\nM = 0.7\n",
@@ -168,14 +161,6 @@ def test_solve_writes_expected_artifacts(tmp_path):
     assert (out / "phi.pgm").read_bytes().startswith(b"P5\n")
 
 
-def test_export_toggles_respected(tmp_path):
-    cfg = _write_cfg(tmp_path, MINIMAL + "export_images = false\nexport_contours = false\n")
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    names = {p.name for p in out.iterdir()}
-    assert "phi.pgm" not in names and "contours.csv" not in names
-
-
 def test_identical_configs_byte_reproduce(tmp_path):
     cfg = _write_cfg(tmp_path, MINIMAL)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -200,7 +185,7 @@ def test_solve_a_zero_square_trace_length_one(tmp_path):
 
 def test_oracle_subcommand_matches(tmp_path):
     text = ("shape = square\nside = 4\nh = 1\nlam = 1\nLam = 2\nM = 12\n"
-            "seeds = 0,1,2,3,4,5,6,7\ncg_tol = 1e-13\neig_tol = 1e-12\n")
+            "seeds = 0,1,2,3,4,5,6,7\neig_tol = 1e-12\n")
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
@@ -274,17 +259,6 @@ def test_sweep_rows_and_classes(tmp_path):
     assert any(line.startswith("# solution_classes=") for line in lines)
 
 
-def test_seed_list_override(tmp_path):
-    text = ("shape = square\nh = 1/8\nA = 0.6931471805599453\nM = 0.766\nseeds = 0\n")
-    cfg = _write_cfg(tmp_path, text)
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out),
-                 "--seed-list", "3,4"]) == 0
-    rows = [line for line in (out / "sweep.csv").read_text().splitlines()
-            if line and not line.startswith("#") and not line.startswith("seed")]
-    assert [row.split(",")[0] for row in rows] == ["3", "4"]
-
-
 def test_exit_code_on_bad_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "shape = square\nh = 1/8\n")
     assert main(["solve", "--config", cfg]) == 1
@@ -293,6 +267,28 @@ def test_exit_code_on_bad_config(tmp_path, capsys):
 
 def test_exit_code_on_missing_config(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "--config", "run.cfg", "--wibble"],
+    ["solve", "--config", "run.cfg", "--seed-list", "3,4"],
+    ["relax", "--config", "run.cfg"],
+    [],
+], ids=["no-config", "unknown-flag", "seed-list", "unknown-subcommand", "empty"])
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # exit code 2 is reserved for solver non-convergence
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, MINIMAL)
+    argv = [cfg if arg == "run.cfg" else arg for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_exit_code_on_non_convergence(tmp_path):
@@ -515,15 +511,29 @@ CURVED_DISK = ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\n"
 
 
 @pytest.mark.parametrize("text, subcommand, digest", [
-    ((CONFIGS / "disk.cfg").read_text(), "solve", "99b4b1eec118fb6e"),
-    ((CONFIGS / "dumbbell_sweep.cfg").read_text(), "sweep", "5817ad2b9a429cdc"),
-    ((CONFIGS / "plate_4d.cfg").read_text(), "plate", "fabef2f62c6150a2"),
-    (CURVED_DISK, "check", "9606fbbd8187af10"),
+    ((CONFIGS / "disk.cfg").read_text(), "solve", "e5f4bdd1bf387f1d"),
+    ((CONFIGS / "dumbbell_sweep.cfg").read_text(), "sweep", "7a8824bb02c96b5b"),
+    ((CONFIGS / "plate_4d.cfg").read_text(), "plate", "e77f178a3514a8ff"),
+    (CURVED_DISK, "check", "4a14bd611c342561"),
 ], ids=["disk", "dumbbell-sweep", "plate-4d", "curved-disk-check"])
 def test_config_hash_is_pinned(text, subcommand, digest):
     # every artifact header carries this hash of the parsed keys, so a
     # change to the parser must leave it alone
     assert parse_config(text, subcommand=subcommand).config_hash == digest
+
+
+@pytest.mark.parametrize("line", [
+    "export_fields = true", "export_trace = true", "export_contours = true",
+    "export_images = true", "oracle_cap = 20", "cg_tol = 1e-10",
+])
+def test_removed_keys_exit_1(tmp_path, capsys, line):
+    cfg = _write_cfg(tmp_path, MINIMAL + line + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown key" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_readme_key_table_lists_every_config_key():
@@ -553,7 +563,10 @@ def test_extreme_background_weight_exits_1_without_output(tmp_path, capsys,
     ("shape = square\nM = inf\n", "key 'M': mass must be finite"),
     ("shape = square\nM = -inf\n", "key 'M': mass must be finite"),
     ("shape = square\nside = inf\nM = 0.7\n", "grid construction failed: bounding box"),
-], ids=["M=inf", "M=-inf", "side=inf"])
+    # a NaN neck fails every comparison; the dumbbell must not split in two
+    ("shape = dumbbell\nneck_width = nan\nM = 0.7\n",
+     "grid construction failed: dumbbell neck width"),
+], ids=["M=inf", "M=-inf", "side=inf", "neck_width=nan"])
 def test_non_finite_input_exits_1_without_output(tmp_path, capsys, lines, message):
     cfg = _write_cfg(tmp_path, f"h = 1/8\nA = 0.5\n{lines}")
     out = tmp_path / "out"

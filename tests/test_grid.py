@@ -107,26 +107,6 @@ def test_dumbbell_thin_neck_rejected():
         mo.dumbbell_spec(1.0 / 8, neck_width=0.2)
 
 
-def test_disconnected_mask_records_warning():
-    def two_blobs(p):
-        x, y = p[:, 0], p[:, 1]
-        return (((0.1 < x) & (x < 0.4)) | ((0.6 < x) & (x < 0.9))) & (0.1 < y) & (y < 0.9)
-
-    spec = mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)),
-                       Region(two_blobs, assume_connected=True))
-    g = mo.build_grid(spec)
-    assert any("disconnected" in w for w in g.warnings)
-    # without the declaration there is nothing to warn about
-    spec2 = mo.GridSpec(2, 1.0 / 16, ((0.0, 1.0), (0.0, 1.0)), Region(two_blobs))
-    assert mo.build_grid(spec2).warnings == ()
-
-
-def test_connected_shapes_have_no_warning():
-    for spec in (mo.square_spec(0.25), mo.disk_spec(1.0 / 8),
-                 mo.dumbbell_spec(1.0 / 16)):
-        assert mo.build_grid(spec).warnings == ()
-
-
 @pytest.mark.parametrize("spacing, bounds", [
     (math.inf, ((0.0, 1.0), (0.0, 1.0))),
     (0.25, ((0.0, math.inf), (0.0, 1.0))),
