@@ -23,8 +23,9 @@ def main() -> None:
     args = parser.parse_args()
 
     grid = mo.build_grid(mo.dumbbell_spec(args.h))
-    spec = mo.ProblemSpec.from_exponent_bound(grid, math.log(2.0),
-                                              mass=mo.domain_volume(grid))
+    lo, hi = mo.conformal_bounds(math.log(2.0))
+    spec = mo.ProblemSpec(grid=grid, rho_min=lo, rho_max=hi,
+                          mass=mo.domain_volume(grid))
     print(f"dumbbell grid: {grid.node_count} nodes, bounds "
           f"({spec.rho_min}, {spec.rho_max})")
 

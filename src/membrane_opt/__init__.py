@@ -33,7 +33,6 @@ from .grid import (
 )
 from .operators import (
     StiffnessMatrix,
-    WeightVector,
     assemble_stiffness,
     assemble_weight,
 )

@@ -46,10 +46,8 @@ from .grid import (
     mirror_permutation,
     square_spec,
 )
-from .operators import assemble_stiffness, assemble_weight
+from .operators import assemble_weight
 from .optimizer import (
-    CONVERGED,
-    CYCLING,
     MAX_ITER,
     DensityField,
     LevelSetPartition,
@@ -521,6 +519,15 @@ def _status_file(out: Path, config: RunConfig, ok: bool, detail: str) -> None:
             f"nodes={config.grid.node_count}"], {"status": state, "detail": detail})
 
 
+def _finish(out: Path, config: RunConfig, traces, detail: str) -> int:
+    """Write ``status.txt`` after the reports and return the exit code: a
+    ``minimize`` run that ended at the alternation cap makes the status
+    incomplete and the exit code 2."""
+    ok = all(trace.status != MAX_ITER for trace in traces)
+    _status_file(out, config, ok, detail)
+    return 0 if ok else 2
+
+
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
@@ -550,9 +557,7 @@ def _run_solve(config: RunConfig, out: Path) -> int:
     density, pair, partition, trace = minimize(
         config.problem, opts=config.solver, max_alternations=config.max_alternations)
     _export_solution(config, out, density, pair, partition, trace)
-    ok = trace.status in (CONVERGED, CYCLING)
-    _status_file(out, config, ok, f"terminal status {trace.status}")
-    return 0 if ok else 2
+    return _finish(out, config, [trace], f"terminal status {trace.status}")
 
 
 def _seed_runs(config: RunConfig) -> list:
@@ -581,8 +586,7 @@ def _run_oracle(config: RunConfig, out: Path) -> int:
            [c.eigenvalue for c in ranking],
            [";".join(map(str, c.high_nodes)) for c in ranking],
            [c.fractional_node for c in ranking])
-    _status_file(out, config, True, f"verdict {verdict}")
-    return 0
+    return _finish(out, config, [r[3] for r in results], f"verdict {verdict}")
 
 
 def _run_sweep(config: RunConfig, out: Path) -> int:
@@ -597,28 +601,38 @@ def _run_sweep(config: RunConfig, out: Path) -> int:
            config.seeds, labels, [t.status for t in traces], [len(t) for t in traces],
            [p.eigenvalue for p in pairs], [q.threshold for q in partitions],
            [q.low_count for q in partitions], [q.fractional_node for q in partitions])
-    bad = any(t.status == MAX_ITER for t in traces)
-    _status_file(out, config, not bad, f"{len(classes)} solution classes")
-    return 2 if bad else 0
+    return _finish(out, config, traces, f"{len(classes)} solution classes")
 
 
 def _run_check(config: RunConfig, out: Path) -> int:
     head = config.header_lines
+    problem = config.problem
 
-    # conformal invariance: bump background against its flat reweighting
+    # conformal invariance: bump background against its flat reweighting; the
+    # config's own grid serves as the flat grid on a flat config and as the
+    # curved one otherwise
     amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
     flat_spec = replace(config.grid.spec, background=None)
-    curved = build_grid(_with_bump(flat_spec, amplitude))
-    flat = build_grid(flat_spec)
+    flat_config = config.grid.flat
+    if flat_config:
+        flat, curved = config.grid, build_grid(_with_bump(flat_spec, amplitude))
+    else:
+        flat, curved = build_grid(flat_spec), config.grid
+    fraction = problem.mass / domain_volume(flat)
 
-    fraction = config.problem.mass / domain_volume(flat)
-    curved_problem = ProblemSpec(
-        grid=curved, rho_min=config.problem.rho_min, rho_max=config.problem.rho_max,
-        mass=fraction * domain_volume(curved), order=2,
-        exponent=config.problem.exponent)
+    def problem_on(grid: Grid) -> ProblemSpec:
+        """The composite problem on ``grid`` at the config's mass fraction."""
+        return ProblemSpec(grid=grid, rho_min=problem.rho_min, rho_max=problem.rho_max,
+                           mass=fraction * domain_volume(grid), order=problem.order,
+                           exponent=problem.exponent)
+
+    # the flat problem at the config's spacing, the config's own on a flat
+    # config: its stiffness serves this report and regularity level 0
+    flat_problem = problem if flat_config else problem_on(flat)
+    curved_problem = problem_on(curved)
 
     a_curved = curved_problem.stiffness
-    a_flat = assemble_stiffness(flat, order=2)
+    a_flat = flat_problem.stiffness
     bit_identical = (
         np.array_equal(a_curved.matrix.indptr, a_flat.matrix.indptr)
         and np.array_equal(a_curved.matrix.indices, a_flat.matrix.indices)
@@ -634,8 +648,9 @@ def _run_check(config: RunConfig, out: Path) -> int:
     mu_flat = first_eigenpair(a_flat, w_flat, config.solver).eigenvalue
     uniform_rel = abs(mu_curved - mu_flat) / abs(mu_flat)
 
-    density, pair, _, _ = minimize(curved_problem, opts=config.solver,
-                                   max_alternations=config.max_alternations)
+    density, pair, _, curved_trace = minimize(curved_problem, opts=config.solver,
+                                              max_alternations=config.max_alternations)
+    traces = [curved_trace]
     mu_reweighted = first_eigenpair(
         a_flat, assemble_weight(flat, density.values * curved.e2w),
         config.solver).eigenvalue
@@ -648,24 +663,19 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
                "verdict": "PASS" if conformal_ok else "FAIL"})
 
-    # regularity: the same composite problem at h, h/2, ...; on a flat config
+    # regularity: the flat composite problem at h, h/2, ...; on a flat config
     # level 0 is the config's own problem, whose solution the symmetry check
     # below reuses
     levels = [config.grid.spacing / 2**k for k in range(config.check_levels)]
-    flat_config = config.grid.flat
 
     def problem_at(h: float) -> ProblemSpec:
-        if flat_config and h == levels[0]:
-            return config.problem
-        g = build_grid(replace(flat_spec, spacing=h))
-        return ProblemSpec(grid=g, rho_min=config.problem.rho_min,
-                           rho_max=config.problem.rho_max,
-                           mass=fraction * domain_volume(g),
-                           order=config.problem.order,
-                           exponent=config.problem.exponent)
+        if h == levels[0]:
+            return flat_problem
+        return problem_on(build_grid(replace(flat_spec, spacing=h)))
 
     report = regularity_trend(problem_at, levels, opts=config.solver,
                               max_alternations=config.max_alternations)
+    traces += [solution[3] for solution in report.solutions]
     _write(out / "check_regularity.txt", _report,
            head("second-difference regularity trend"), {
                "levels": list(report.levels), "sups": list(report.sups),
@@ -685,13 +695,14 @@ def _run_check(config: RunConfig, out: Path) -> int:
         if flat_config:
             density, pair, _, _ = report.solutions[0]
         else:
-            density, pair, _, _ = minimize(config.problem, opts=config.solver,
-                                           max_alternations=config.max_alternations)
+            density, pair, _, trace = minimize(problem, opts=config.solver,
+                                               max_alternations=config.max_alternations)
+            traces.append(trace)
         for axis, perm in mirrors.items():
             reflected = np.empty_like(density.values)
             reflected[perm] = density.values
             mu_ref = first_eigenpair(
-                config.problem.stiffness, assemble_weight(config.grid, reflected),
+                problem.stiffness, assemble_weight(config.grid, reflected),
                 config.solver).eigenvalue
             rel = abs(mu_ref - pair.eigenvalue) / abs(pair.eigenvalue)
             fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel
@@ -699,8 +710,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     fields["verdict"] = "PASS" if equivariant else "FAIL"
     _write(out / "check_symmetry.txt", _report, head("mirror symmetry check"), fields)
 
-    _status_file(out, config, True, "checks written")
-    return 0
+    return _finish(out, config, traces, "checks written")
 
 
 def run(config: RunConfig) -> int:

@@ -14,12 +14,13 @@ shape is any object with a vectorized ``contains(points)`` that maps the
 (N, d) array of lattice point centers to an (N,) bool array;
 ``Rectangle``, ``Disk``, ``Annulus`` and ``Dumbbell`` are built in.  A
 grid may be disconnected (a thin annulus can split); the weighted
-eigenproblem is well posed on it all the same.  Each node optionally
-carries a background weight ``e^(2w)``: the exponent field ``w`` maps the
-(N, d) array of node centers to an (N,) float array, and the measure of a
-node is then ``e^(2w) * h^d``.  Away from two dimensions the background
-must be flat (``w = 0``): the second-order stiffness stencil is
-weight-free only in 2D.  The node table artifact is written by
+eigenproblem is well posed on it all the same, and
+``verify.count_components`` counts the pieces of any node set.  Each node
+optionally carries a background weight ``e^(2w)``: the exponent field
+``w`` maps the (N, d) array of node centers to an (N,) float array, and
+the measure of a node is then ``e^(2w) * h^d``.  Away from two dimensions
+the background must be flat (``w = 0``): the second-order stiffness
+stencil is weight-free only in 2D.  The node table artifact is written by
 ``cli.grid_csv``.
 """
 
@@ -31,8 +32,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Annulus",
@@ -231,7 +230,7 @@ class Grid:
     integer coordinates ``i`` (0 <= i_k <= lattice_cells[k]), -1 where
     there is none.  It carries one layer of -1 padding on every side, so
     that the neighbors of Dirichlet-layer points stay in bounds; use
-    ``lookup`` or ``find`` rather than indexing it directly.
+    ``lookup`` rather than indexing it directly.
     """
 
     spec: GridSpec
@@ -254,13 +253,9 @@ class Grid:
         return int(self.nodes.shape[0])
 
     @property
-    def node_volume(self) -> float:
-        return self.spacing**self.dimension
-
-    @property
     def cell_volumes(self) -> np.ndarray:
         """Per-node measure e^(2w) h^d."""
-        return self.e2w * self.node_volume
+        return self.e2w * self.spacing**self.dimension
 
     @property
     def origin(self) -> tuple[float, ...]:
@@ -289,35 +284,11 @@ class Grid:
         i.e. within one step of the lattice."""
         return self.lattice[tuple(np.asarray(points).T + 1)]
 
-    def find(self, coords: Sequence[int]) -> int:
-        """Node index for integer coordinates, or -1 if absent."""
-        point = np.asarray(coords, dtype=np.int64)
-        if np.any(point < 0) or np.any(point > self.lattice_cells):
-            return -1
-        return int(self.lookup(point[None])[0])
-
 
 def neighbor_steps(dimension: int) -> np.ndarray:
     """Integer coordinate offset of each ``neighbors`` slot, shape (2d, d)."""
     unit = np.eye(dimension, dtype=np.int64)
     return np.stack([-unit, unit], axis=1).reshape(2 * dimension, dimension)
-
-
-def component_count(neighbors: np.ndarray, members: np.ndarray) -> int:
-    """Connected components of the member nodes (a boolean mask over all
-    nodes) under the axis-neighbor graph."""
-    # one edge per member pair along the + slot of each axis, as CSR rows in
-    # node order; csgraph adds the reverse edges of an undirected graph
-    ahead = neighbors[:, 1::2]
-    edge = (ahead >= 0) & members[:, None]
-    edge[edge] = members[ahead[edge]]
-    n = members.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
-    indices = ahead[edge].astype(np.int32)
-    graph = sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
-    labels = connected_components(graph, directed=False)[1]
-    return int(np.unique(labels[members]).size)
 
 
 def build_grid(spec: GridSpec) -> Grid:

@@ -34,13 +34,9 @@ from .grid import Grid, neighbor_steps
 __all__ = [
     "FACTOR_MAX_NODES",
     "StiffnessMatrix",
-    "WeightVector",
     "assemble_stiffness",
     "assemble_weight",
 ]
-
-# diagonal weight of the generalized eigenproblem, sigma_i = rho_i e^(2w_i)
-WeightVector = np.ndarray
 
 # largest 2D grid whose stiffness is factored; see StiffnessMatrix.factored
 FACTOR_MAX_NODES = 16384
@@ -99,9 +95,6 @@ class StiffnessMatrix:
             return None
         return splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 def _row_slots(mat: sp.csr_matrix):
@@ -217,9 +210,11 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     return stiffness
 
 
-def assemble_weight(grid: Grid, rho) -> WeightVector:
-    """Diagonal weight sigma_i = rho_i e^(2w_i); rejects nonpositive density."""
-    values = np.asarray(getattr(rho, "values", rho), dtype=float)
+def assemble_weight(grid: Grid, rho: np.ndarray) -> np.ndarray:
+    """Diagonal weight sigma_i = rho_i e^(2w_i) of the generalized
+    eigenproblem, from the per-node density array; rejects nonpositive
+    density."""
+    values = np.asarray(rho, dtype=float)
     if values.shape != (grid.node_count,):
         raise ValueError(
             f"density has shape {values.shape}, grid has {grid.node_count} nodes"

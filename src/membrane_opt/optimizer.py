@@ -45,7 +45,7 @@ MAX_ITER = "max-iter"
 
 _MASS_RTOL = 1e-12
 _FEAS_RTOL = 1e-12
-# largest share of the nodes on which the low regions of one class may differ
+# largest share of the nodes on which the splits of one class may differ
 _SET_TOL = 0.01
 
 
@@ -101,31 +101,19 @@ class ProblemSpec:
                 f"got M = {self.mass:.6g}"
             )
 
-    @classmethod
-    def from_exponent_bound(cls, grid: Grid, bound_exponent: float, mass: float,
-                            exponent: int = 2, order: int = 2) -> "ProblemSpec":
-        lo, hi = conformal_bounds(bound_exponent, exponent)
-        return cls(grid=grid, rho_min=lo, rho_max=hi, mass=mass,
-                   order=order, exponent=exponent)
-
-    @property
-    def volume(self) -> float:
-        return domain_volume(self.grid)
-
     @cached_property
     def stiffness(self) -> StiffnessMatrix:
         """Order-``order`` stiffness of ``grid``, assembled once."""
         return assemble_stiffness(self.grid, self.order)
 
 
-def target_high_mass(spec: ProblemSpec, vol: float | None = None) -> float:
+def target_high_mass(spec: ProblemSpec) -> float:
     """Background volume the upper density value must occupy to meet the mass.
 
-    Solves rho_min (vol - V) + rho_max V = M for V; zero when the box is
-    a single point.
+    Solves rho_min (vol - V) + rho_max V = M for V, with vol the
+    ``domain_volume`` of the grid; zero when the box is a single point.
     """
-    if vol is None:
-        vol = spec.volume
+    vol = domain_volume(spec.grid)
     if spec.rho_max == spec.rho_min:
         return 0.0
     gap = spec.rho_max - spec.rho_min
@@ -180,7 +168,7 @@ class DensityField:
 
 def uniform_density(spec: ProblemSpec) -> DensityField:
     """The feasible constant density M / |Omega|."""
-    level = spec.mass / spec.volume
+    level = spec.mass / domain_volume(spec.grid)
     values = np.full(spec.grid.node_count, level)
     values.setflags(write=False)
     return DensityField(grid=spec.grid, values=values)
@@ -190,7 +178,7 @@ def seeded_density(spec: ProblemSpec, seed: int) -> DensityField:
     """Random feasible two-valued density: bathtub fill on random scores."""
     rng = np.random.default_rng(seed)
     scores = rng.random(spec.grid.node_count) + 0.5
-    density, _ = bathtub_rearrange(scores, spec.grid, spec)
+    density, _ = bathtub_rearrange(scores, spec)
     return density
 
 
@@ -212,9 +200,10 @@ class LevelSetPartition:
         return int(self.high_nodes.size)
 
 
-def bathtub_rearrange(phi: np.ndarray, grid: Grid,
+def bathtub_rearrange(phi: np.ndarray,
                       spec: ProblemSpec) -> tuple[DensityField, LevelSetPartition]:
-    """Mass-constrained box maximizer of sum(phi^2 rho e^(2w) h^d).
+    """Mass-constrained box maximizer of sum(phi^2 rho e^(2w) h^d) on the
+    grid of ``spec``.
 
     Nodes ranked by (phi^2, node index) descending receive the upper bound
     until the high-set volume budget is spent; the node where the budget
@@ -228,13 +217,13 @@ def bathtub_rearrange(phi: np.ndarray, grid: Grid,
         raise ValueError("eigenfunction values must be finite")
     if not np.any(phi):
         raise ValueError("eigenfunction must not vanish identically")
+    grid = spec.grid
     n = grid.node_count
     if phi.shape != (n,):
         raise ValueError(f"phi has shape {phi.shape}, grid has {n} nodes")
 
     cells = grid.cell_volumes
-    vol = float(np.sum(cells))
-    budget = target_high_mass(spec, vol)
+    budget = target_high_mass(spec)
     lo, hi = spec.rho_min, spec.rho_max
 
     key = phi * phi
@@ -320,10 +309,6 @@ class OptimizationTrace:
 def _resolve_init(spec: ProblemSpec, init) -> DensityField:
     if init is None:
         return uniform_density(spec)
-    if isinstance(init, str):
-        if init == "uniform":
-            return uniform_density(spec)
-        raise ValueError(f"unknown initial density keyword {init!r}")
     if isinstance(init, (int, np.integer)) and not isinstance(init, bool):
         return seeded_density(spec, int(init))
     if isinstance(init, DensityField):
@@ -336,14 +321,6 @@ def _same_split(a: LevelSetPartition, b: LevelSetPartition | None) -> bool:
     """Same high set and fractional node (the low set then follows)."""
     return b is not None and a.fractional_node == b.fractional_node \
         and np.array_equal(a.high_nodes, b.high_nodes)
-
-
-def _set_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -> int:
-    """Size of the symmetric difference of two low regions, counted through
-    a membership mask rather than a sort or hash of the index sets."""
-    member = np.zeros(node_count, dtype=bool)
-    member[a.low_nodes] = True
-    return a.low_count + b.low_count - 2 * int(np.count_nonzero(member[b.low_nodes]))
 
 
 def _split_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -> int:
@@ -363,7 +340,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     """Alternate eigen solve and bathtub rearrangement to a fixed point.
 
     ``init`` may be a DensityField, an integer seed for a random two-valued
-    start, or None/"uniform" for the constant density.  Stops at the first
+    start, or None for the constant density.  Stops at the first
     repeated split (converged: the density just solved is a fixed point, the
     last pair its eigenpair), at the split of two iterations earlier
     (cycling), or at the iteration cap; returns the last bathtub output.
@@ -394,7 +371,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
             exc.partial_trace = trace  # type: ignore[attr-defined]
             raise
         warm = pair.vector
-        density, partition = bathtub_rearrange(pair.vector, grid, spec)
+        density, partition = bathtub_rearrange(pair.vector, spec)
         if prev is None:
             set_change = partition.low_count
         else:
@@ -440,8 +417,10 @@ def classify_solutions(seeds, results, node_count: int,
                        mu_rtol: float = 1e-8) -> tuple[list[Solution], list[int]]:
     """Group per-seed results into classes; returns (classes, label per seed).
 
-    Two runs share a class when their eigenvalues agree relatively to
-    mu_rtol and their low regions differ on at most 1% of the nodes.
+    A run joins the first class whose first member's eigenvalue agrees
+    with its own relatively to mu_rtol and whose split differs from its own
+    on at most 1% of the nodes (``_split_change``, the count behind the
+    trace's set_change); otherwise it opens a new class.
     """
     firsts: list[tuple] = []  # (seed, result) of each class's first member
     members: list[list[int]] = []
@@ -452,7 +431,7 @@ def classify_solutions(seeds, results, node_count: int,
         for k, (_, (_, rep_pair, rep_partition, _)) in enumerate(firsts):
             close_mu = abs(pair.eigenvalue - rep_pair.eigenvalue) <= \
                 mu_rtol * max(abs(pair.eigenvalue), abs(rep_pair.eigenvalue))
-            diff = _set_change(partition, rep_partition, node_count)
+            diff = _split_change(partition, rep_partition, node_count)
             if close_mu and diff <= max_diff:
                 break
         else:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the production solve path: the
 enumeration oracle uses a dense LAPACK generalized eigensolve, the contour
 extractor runs marching squares over all lattice cells at once from raw
 nodal values, and the connectivity and regularity checks are plain graph
-and difference computations.  Nothing here formats artifacts; the contour
-table (``contours.csv``) is written by ``cli.contour_csv``.
+and difference computations.  ``count_components`` is the package's one
+connectivity count of node sets.  Nothing here formats artifacts; the
+contour table (``contours.csv``) is written by ``cli.contour_csv``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .eigen import SolverOptions
-from .grid import Disk, Grid, component_count, domain_volume
+from .grid import Disk, Grid
 from .optimizer import (
     DensityField,
     LevelSetPartition,
@@ -44,6 +47,10 @@ __all__ = [
 ]
 
 ORACLE_NODE_CAP = 20
+# largest sub-level margin (phi^2 units) that sublevel_check still accepts
+_SUBLEVEL_TOL = 1e-14
+# largest growth ratio of second differences that counts as bounded
+_BOUNDED_RATIO = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -74,33 +81,32 @@ def _dense_smallest(a_dense: np.ndarray, weights: np.ndarray) -> tuple[float, np
     return float(mu[0]), phi
 
 
-def check_oracle_input(grid: Grid, node_cap: int = ORACLE_NODE_CAP) -> None:
-    """Raise ValueError unless the grid is small enough for the oracle and
-    its node volumes are uniform, so the per-node budget is one cell."""
+def check_oracle_input(grid: Grid) -> None:
+    """Raise ValueError unless the grid has at most ORACLE_NODE_CAP nodes
+    and its node volumes are uniform, so the per-node budget is one cell."""
     n = grid.node_count
-    if n > node_cap:
-        raise ValueError(f"oracle scale exceeded: {n} nodes > cap {node_cap}")
+    if n > ORACLE_NODE_CAP:
+        raise ValueError(f"oracle scale exceeded: {n} nodes > cap {ORACLE_NODE_CAP}")
     cells = grid.cell_volumes
     if float(np.max(np.abs(cells - cells[0]))) > 1e-15 * float(cells[0]):
         raise ValueError("oracle requires uniform node volumes (flat background)")
 
 
-def enumerate_optimal(spec: ProblemSpec,
-                      node_cap: int = ORACLE_NODE_CAP) -> OracleResult:
+def enumerate_optimal(spec: ProblemSpec) -> OracleResult:
     """Exhaustive minimum over two-valued-plus-one-fractional densities.
 
     Places the upper bound on every k-subset of nodes (k from the high-set
     volume budget) and, when the budget does not divide evenly, tries the
     fractional node at every remaining position.  Each candidate is solved
-    densely.  The grid must pass ``check_oracle_input`` at the node cap.
+    densely.  The grid must pass ``check_oracle_input``.
     """
     grid = spec.grid
-    check_oracle_input(grid, node_cap)
+    check_oracle_input(grid)
     n = grid.node_count
     cells = grid.cell_volumes
     cell = float(cells[0])
 
-    budget = target_high_mass(spec, domain_volume(grid))
+    budget = target_high_mass(spec)
     ratio = budget / cell
     k = int(np.floor(ratio + 1e-12))
     theta = ratio - k
@@ -112,7 +118,7 @@ def enumerate_optimal(spec: ProblemSpec,
     lo, hi = spec.rho_min, spec.rho_max
     frac_value = lo + (hi - lo) * theta
 
-    a_dense = spec.stiffness.to_dense()
+    a_dense = spec.stiffness.matrix.toarray()
     e2w = grid.e2w
 
     ranking: list[tuple[float, tuple[int, ...], int, np.ndarray]] = []
@@ -173,19 +179,18 @@ def enumerate_optimal(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # structure checks
 
-def sublevel_check(phi: np.ndarray, partition: LevelSetPartition,
-                   tol: float = 1e-14) -> tuple[bool, float]:
+def sublevel_check(phi: np.ndarray, partition: LevelSetPartition) -> tuple[bool, float]:
     """Is the low region a sub-level set of phi^2?  Returns (ok, margin).
 
     The margin is max over the low region of phi^2 minus min over the high
-    region; positive means a violation.  The fractional node sits in
-    neither region and is exempt.
+    region; a margin above 1e-14 is a violation.  The fractional node sits
+    in neither region and is exempt.
     """
     phi2 = np.asarray(phi, dtype=float) ** 2
     if partition.low_nodes.size == 0 or partition.high_nodes.size == 0:
         return True, 0.0
     margin = float(np.max(phi2[partition.low_nodes]) - np.min(phi2[partition.high_nodes]))
-    return margin <= tol, margin
+    return margin <= _SUBLEVEL_TOL, margin
 
 
 def _node_mask(nodes: Iterable[int] | np.ndarray, grid: Grid) -> np.ndarray:
@@ -198,7 +203,19 @@ def _node_mask(nodes: Iterable[int] | np.ndarray, grid: Grid) -> np.ndarray:
 
 def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
     """Connected components of a node set under the 2d-neighbor stencil graph."""
-    return component_count(grid.neighbors, _node_mask(nodes, grid))
+    members = _node_mask(nodes, grid)
+    # one edge per member pair along the + slot of each axis, as CSR rows in
+    # node order; csgraph adds the reverse edges of an undirected graph
+    ahead = grid.neighbors[:, 1::2]
+    edge = (ahead >= 0) & members[:, None]
+    edge[edge] = members[ahead[edge]]
+    n = members.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
+    indices = ahead[edge].astype(np.int32)
+    graph = sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    return int(np.unique(labels[members]).size)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +384,16 @@ def pure_difference_sup(grid: Grid, values: np.ndarray, order: int = 2) -> float
 @dataclass(frozen=True)
 class RegularityReport:
     """Sup of pure second differences per refinement level and their growth;
-    ``solutions`` holds the ``minimize`` result of each level."""
+    ``solutions`` holds the ``minimize`` result of each level.  ``bounded``
+    holds when every growth ratio is at most 1.5."""
 
     levels: tuple[float, ...]
     sups: tuple[float, ...]
     ratios: tuple[float, ...]
     solutions: tuple = field(default=(), repr=False, compare=False)
 
-    def bounded(self, threshold: float = 1.5) -> bool:
-        return all(r <= threshold for r in self.ratios)
+    def bounded(self) -> bool:
+        return all(r <= _BOUNDED_RATIO for r in self.ratios)
 
 
 def regularity_trend(problem_at: Callable[[float], ProblemSpec],

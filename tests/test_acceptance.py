@@ -51,8 +51,9 @@ def disk_experiment():
 def dumbbell_experiment():
     start = time.time()
     grid = mo.build_grid(mo.dumbbell_spec(1.0 / 32))
-    spec = mo.ProblemSpec.from_exponent_bound(grid, math.log(2.0),
-                                              mass=mo.domain_volume(grid))
+    lo, hi = mo.conformal_bounds(math.log(2.0))
+    spec = mo.ProblemSpec(grid=grid, rho_min=lo, rho_max=hi,
+                          mass=mo.domain_volume(grid))
     solutions = mo.multi_start(spec, range(8), mu_rtol=CLASS_MU_RTOL)
     return Experiment(solutions, grid, spec, time.time() - start)
 
@@ -108,7 +109,7 @@ def plate_runs(tmp_path_factory):
     g16 = mo.build_grid(mo.square_spec(1.0 / 16))
     a16 = mo.assemble_stiffness(g16, order=4)
     out["dense_mu"] = float(scipy.linalg.eigh(
-        a16.to_dense(), np.diag(np.ones(g16.node_count)),
+        a16.matrix.toarray(), np.diag(np.ones(g16.node_count)),
         subset_by_index=[0, 0])[0][0])
     out["iterative_mu"] = mo.first_eigenpair(
         a16, np.ones(g16.node_count),
@@ -324,7 +325,7 @@ def test_criterion_7_connectivity(disk_experiment, dumbbell_experiment):
 
 def test_criterion_8_regularity_trend(regularity_report):
     report, elapsed = regularity_report
-    bounded = report.bounded(1.5)
+    bounded = report.bounded()
 
     # detector validity: a profile with a gradient kink blows up at order 2
     kink_sups = []

@@ -362,6 +362,62 @@ def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
     assert (out / "check_symmetry.txt").read_text().count("verdict = PASS") == 1
 
 
+FLAT_SQUARE_CHECK = ("shape = square\nh = 1/16\nA = 0.6931471805599453\n"
+                     "M = 0.87890625\ncheck_levels = 2\n")
+
+
+@pytest.mark.parametrize("subcommand, text, reports", [
+    ("oracle", (Path(__file__).resolve().parents[1] / "configs" / "oracle_3x3.cfg").read_text(),
+     ["oracle_report.txt", "ranking.csv"]),
+    ("check", FLAT_SQUARE_CHECK,
+     ["check_conformal.txt", "check_regularity.txt", "check_symmetry.txt"]),
+], ids=["oracle", "check"])
+def test_report_subcommands_exit_2_when_a_run_hits_the_cap(tmp_path, subcommand, text,
+                                                          reports):
+    # exit 2 means non-convergence for every subcommand, as it does for solve
+    # and sweep; the reports are still written
+    cfg = _write_cfg(tmp_path, text + "max_alternations = 1\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "status = incomplete" in (out / "status.txt").read_text().splitlines()
+    for name in reports:
+        assert (out / name).exists(), name
+
+
+@pytest.mark.parametrize("text, nodes, builds, assemblies", [
+    (FLAT_SQUARE_CHECK, 225, 2, 2),
+    ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
+     "bump_amplitude = 0.3\ncheck_levels = 2\n", 193, 2, 3),
+], ids=["flat-square", "curved-disk"])
+def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypatch, text,
+                                                            nodes, builds, assemblies):
+    # the config's own grid is the flat grid on a flat config and the curved
+    # one otherwise; a flat config's problem serves the conformal report and
+    # regularity level 0, while the curved and flat stiffness stay separate
+    # assemblies, which the conformal report compares
+    from membrane_opt import optimizer
+
+    built, assembled = [], []
+
+    def counted(fn, log, size):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            log.append(size(result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_grid",
+                        counted(cli.build_grid, built, lambda grid: grid.node_count))
+    monkeypatch.setattr(optimizer, "assemble_stiffness",
+                        counted(optimizer.assemble_stiffness, assembled,
+                                lambda stiffness: stiffness.shape[0]))
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert built.count(nodes) == builds
+    assert assembled.count(nodes) == assemblies
+
+
 def test_pgm_dimensions(tmp_path):
     cfg = _write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "out"

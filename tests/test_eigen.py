@@ -234,7 +234,7 @@ def _assert_backends_agree(a, w, opts=mo.SolverOptions()):
     assert a.factor is not None
     factored = mo.first_eigenpair(a, w, opts)
     plain = mo.first_eigenpair(a.matrix, w, opts)
-    values, vectors = scipy.linalg.eigh(a.to_dense(), np.diag(w))
+    values, vectors = scipy.linalg.eigh(a.matrix.toarray(), np.diag(w))
     dense = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
     for pair in (factored, plain):
         assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
@@ -257,7 +257,7 @@ def test_factored_cg_and_dense_agree_on_random_masks(inside, weights):
     a = mo.assemble_stiffness(g)
     w = np.asarray(weights[:g.node_count])
     # power iteration needs a gap; disconnected masks can have none
-    values = scipy.linalg.eigvalsh(a.to_dense(), np.diag(w))
+    values = scipy.linalg.eigvalsh(a.matrix.toarray(), np.diag(w))
     assume(values.size == 1 or values[1] >= 1.1 * values[0])
     _assert_backends_agree(a, w)
 
@@ -381,7 +381,7 @@ def test_block_path_resolves_symmetric_dumbbell():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         pair = mo.first_eigenpair(a, w, start=start)
-    values = scipy.linalg.eigvalsh(a.to_dense(), np.diag(w))
+    values = scipy.linalg.eigvalsh(a.matrix.toarray(), np.diag(w))
     assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
     assert pair.residual <= 10.0 * mo.SolverOptions().eig_rel_tol
     with pytest.raises(EigenConvergenceError):
@@ -411,7 +411,7 @@ def test_lobpcg_from_the_exact_eigenvector_drops_the_vanished_column():
     # A^-1 W x is parallel to x, so Y loses a column to W-orthogonalization
     g, a = _laplacian(1.0 / 8)
     w = np.linspace(0.5, 2.0, g.node_count)
-    values, vectors = scipy.linalg.eigh(a.to_dense(), np.diag(w))
+    values, vectors = scipy.linalg.eigh(a.matrix.toarray(), np.diag(w))
     pair = mo.first_eigenpair(a, w, start=vectors[:, 0])
     assert pair.iterations <= 2
     assert np.all(np.isfinite(pair.vector)) and np.isfinite(pair.residual)
@@ -428,7 +428,7 @@ def test_width_one_block_agrees_with_dense(h, node):
     start = np.zeros(g.node_count)
     start[node] = 1.0
     assert _Lobpcg(start, w).width == 1
-    values = scipy.linalg.eigvalsh(a.to_dense(), np.diag(w))
+    values = scipy.linalg.eigvalsh(a.matrix.toarray(), np.diag(w))
     for pair in (mo.first_eigenpair(a, w, start=start),
                  mo.first_eigenpair(a.matrix, w, start=start)):
         assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]

@@ -217,9 +217,9 @@ def _check_against_reference(g, member_flags):
     expected = [[index.get(_shifted(point, axis, step), -1)
                  for axis in range(d) for step in (-1, 1)] for point in nodes]
     assert g.neighbors.tolist() == expected
-    # every coordinate from two below the lattice to two above it
-    for point in itertools.product(*(range(-2, n + 3) for n in cells)):
-        assert g.find(point) == index.get(point, -1)
+    # every coordinate within one step of the lattice, lookup's documented range
+    points = list(itertools.product(*(range(-1, n + 2) for n in cells)))
+    assert g.lookup(points).tolist() == [index.get(point, -1) for point in points]
     for axis in range(d):
         image = {point: index.get(_shifted(point, axis, cells[axis] - 2 * point[axis]), -1)
                  for point in nodes}
