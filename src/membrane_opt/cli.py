@@ -361,14 +361,12 @@ def parse_config(text: str, subcommand: str | None = None,
     except ValueError as exc:
         raise ConfigError(f"key 'M': {exc}") from exc
 
-    try:
-        # the eigen residual floor scales with the eigenvalue, so p = 4
-        # tightens the inner CG solves
-        solver = SolverOptions(cg_rel_tol=1e-12 if p == 4 else 1e-10,
-                               eig_rel_tol=values["eig_tol"],
-                               max_iterations=values["max_power_iterations"])
-    except ValueError as exc:
-        raise ConfigError(f"solver options: {exc}") from exc
+    solver = SolverOptions()
+    for key, name in (("eig_tol", "eig_rel_tol"), ("max_power_iterations", "max_iterations")):
+        try:
+            solver = replace(solver, **{name: values[key]})
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}': {exc}") from exc
     if values["max_alternations"] < 1:
         raise ConfigError("key 'max_alternations': must be >= 1")
     if min(values["seeds"]) < 0:
@@ -591,8 +589,7 @@ def _run_oracle(config: RunConfig, out: Path) -> int:
 
 def _run_sweep(config: RunConfig, out: Path) -> int:
     results = _seed_runs(config)
-    classes, labels = classify_solutions(config.seeds, results,
-                                         config.grid.node_count)
+    classes, labels = classify_solutions(config.seeds, results)
     head = config.header_lines("seed sweep") + [f"solution_classes={len(classes)}"]
     _, pairs, partitions, traces = zip(*results)
     _write(out / "sweep.csv", _table,

@@ -1,9 +1,11 @@
 """First eigenpair of A phi = mu W phi by preconditioned inverse iteration.
 
-Every inner solve goes through ``solve_spd``, which has two backends: the
-cached sparse LU factor of an assembled stiffness matrix (2D grids up to
-``FACTOR_MAX_NODES`` nodes, see ``StiffnessMatrix.factored``), and plain
-conjugate gradients for every other matrix.  Every matrix-vector product
+The operator is always a ``StiffnessMatrix``.  Every inner solve goes
+through ``solve_spd``, which has two backends: the cached sparse LU factor
+of the stiffness (2D grids up to ``FACTOR_MAX_NODES`` nodes, see
+``StiffnessMatrix.factored``), and plain conjugate gradients for every
+other grid, to a relative tolerance that the eigensolve takes from the
+operator's order (``_CG_REL_TOL``).  Every matrix-vector product
 of the conjugate-gradient path, in ``solve_spd`` and in the power step,
 takes the matrix's diagonal (DIA) copy where the grid fills its lattice
 (see ``StiffnessMatrix``) and its CSR form elsewhere; the two give the
@@ -83,6 +85,23 @@ nodes, where a solve is two thirds of a step) make 16 solves where depth
 one makes 13.
 """
 
+_CG_REL_TOL = {2: 1e-10, 4: 1e-12}
+"""Relative residual of the conjugate-gradient solves of ``first_eigenpair``,
+keyed by ``StiffnessMatrix.order``.
+
+The power step inherits the inner solve's relative error, so the floor of
+the eigen residual |A phi - mu W phi| / |W phi| scales with mu times this
+tolerance, and mu grows with the order: about 20 for the Laplacian on the
+unit square, about 1200 for the clamped bilaplacian on the unit cube.  At
+1e-10, order 4 misses the 10 * eig_rel_tol = 1e-8 stopping target of the
+default ``SolverOptions``: ``minimize`` from the uniform density (box
+(1/2, 2), mass the domain volume) ends in EigenConvergenceError after 500
+power steps at residual 2.4e-8 on the 3D clamped plate at h=1/16 (3375
+nodes) and 1.17e-8 on the 4D one at h=1/10 (6561 nodes).  At 1e-12 the 3D
+plate converges in 2 alternations and 16 power steps, residual 8.2e-9.
+Factored solves are direct and ignore the tolerance.
+"""
+
 # Gram eigenvalues below this fraction of the largest mark a block column
 # as linearly dependent on the others; it is dropped from the block
 _RANK_TOL = 1e-10
@@ -107,15 +126,17 @@ class EigenConvergenceError(SolverError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    cg_rel_tol: float = 1e-10
+    """Stopping rule of ``first_eigenpair``: the relative eigenvalue change
+    ``eig_rel_tol`` and the cap of ``max_iterations`` outer steps.  The
+    inner conjugate-gradient tolerance is not an option; it follows the
+    operator's order (``_CG_REL_TOL``)."""
+
     eig_rel_tol: float = 1e-9
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        for name in ("cg_rel_tol", "eig_rel_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        if not 0.0 < self.eig_rel_tol < 1.0:
+            raise ValueError(f"eig_rel_tol must lie in (0, 1), got {self.eig_rel_tol}")
         if self.max_iterations < 1:
             raise ValueError("iteration cap must be >= 1")
 
@@ -136,19 +157,17 @@ class EigenPair:
     iterations: int
 
 
-def _matrix(A) -> "np.ndarray | object":
-    """The storage that vector products with A use: a StiffnessMatrix's
-    diagonal copy where it has one, else its CSR matrix; A itself for any
-    other operator."""
-    if isinstance(A, StiffnessMatrix):
-        return A.matrix if A.diagonals is None else A.diagonals
-    return A
+def _matrix(A: StiffnessMatrix):
+    """The storage that vector products with A use: its diagonal copy where
+    it has one, else its CSR matrix."""
+    return A.matrix if A.diagonals is None else A.diagonals
 
 
-def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve A x = b for SPD A.
+def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
+              x0: np.ndarray | None = None) -> np.ndarray:
+    """Solve A x = b for the SPD stiffness A.
 
-    When A is an assembled StiffnessMatrix that carries a sparse factor,
+    When A carries a sparse factor (see ``StiffnessMatrix.factored``),
     the solve is a direct triangular solve with that factor; ``tol`` and
     ``x0`` do not apply, and ``b`` may be an (n, k) block of right-hand
     sides.  Otherwise conjugate gradients run from ``x0`` (or zero) to
@@ -166,7 +185,7 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    direct = isinstance(A, StiffnessMatrix) and A.factor is not None
+    direct = A.factor is not None
     if b.ndim != 1 and not direct:
         raise ValueError(
             f"conjugate gradients take one right-hand side, got shape {b.shape}"
@@ -226,7 +245,8 @@ def solve_spd(A, b: np.ndarray, tol: float, x0: np.ndarray | None = None) -> np.
     )
 
 
-def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(),
+def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
+                    opts: SolverOptions = SolverOptions(),
                     start: np.ndarray | None = None) -> EigenPair:
     """Smallest eigenpair of A phi = mu W phi, W = diag(weights).
 
@@ -249,7 +269,9 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
     cannot rise.  Linearly dependent columns, as for one-node grids or a
     start that is already an eigenvector (every level then vanishes), are
     dropped.  Otherwise the step is warm-started inverse power iteration,
-    one ``solve_spd`` call y <- solve(A, W x), x <- y / sqrt(y' W y).
+    one ``solve_spd`` call y <- solve(A, W x), x <- y / sqrt(y' W y),
+    whose conjugate gradients run to the tolerance of A's order
+    (``_CG_REL_TOL``).
     Both stop once the relative eigenvalue change drops below eig_rel_tol
     and the measured residual below 10x that; past max_iterations steps,
     EigenConvergenceError names the method and carries the iterate of
@@ -268,20 +290,19 @@ def first_eigenpair(A, weights: np.ndarray, opts: SolverOptions = SolverOptions(
         raise ValueError("weight vector must be strictly positive")
     x = np.ones(n) if start is None else _start_vector(start, w)
     x = x / np.sqrt(float(x @ (w * x)))
-    block = None
-    if isinstance(A, StiffnessMatrix) and A.factor is not None:
-        block = _Lobpcg(x, w)
+    block = _Lobpcg(x, w) if A.factor is not None else None
+    tol = _CG_REL_TOL[A.order]
 
     mu_prev = None
     best = None
     target = 10.0 * opts.eig_rel_tol
     for it in range(1, opts.max_iterations + 1):
         if block is not None:
-            x, ax = block.step(A, mat, opts)
+            x, ax = block.step(A, mat, tol)
         else:
             rhs = w * x
             guess = x / mu_prev if mu_prev is not None else None
-            y = solve_spd(A, rhs, opts.cg_rel_tol, x0=guess)
+            y = solve_spd(A, rhs, tol, x0=guess)
             scale = float(y @ (w * y))
             if scale <= 0.0:
                 raise SolverError("inverse iteration produced a degenerate iterate")
@@ -357,7 +378,7 @@ class _Lobpcg:
         self.ws = np.empty_like(self.s)
         self.s[:, :self.width] = block
 
-    def step(self, A, mat, opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, A: StiffnessMatrix, mat, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """One LOBPCG step; returns the smallest Ritz vector x, W-normalized,
         and A x."""
         k = self.width
@@ -370,7 +391,7 @@ class _Lobpcg:
         # power basis would lose its new directions to cancellation
         for lo in range(k, (KRYLOV_DEPTH + 1) * k, k):
             level, w_level = s[:, lo:lo + k], ws[:, lo:lo + k]
-            level[...] = solve_spd(A, ws[:, lo - k:lo], opts.cg_rel_tol)
+            level[...] = solve_spd(A, ws[:, lo - k:lo], tol)
             level -= ((ws[:, :lo].T @ level).T @ s[:, :lo].T).T
             np.multiply(self.w, level, out=w_level)
             # every column with a positive Gram eigenvalue is kept, since

@@ -46,6 +46,9 @@ FACTOR_MAX_NODES = 16384
 class StiffnessMatrix:
     """Sparse symmetric positive definite stencil matrix, entries ~ h^(-p).
 
+    ``order`` is the p that ``assemble_stiffness`` was given: 2 for the
+    Dirichlet Laplacian, 4 for the clamped bilaplacian.  The eigensolve
+    reads its conjugate-gradient tolerance from it (see ``eigen``).
     ``diagonals`` is the same matrix in diagonal (DIA) storage, offsets
     ascending, or None.  ``assemble_stiffness`` builds it for the matrices
     that are not ``factored`` and whose grid fills its lattice
@@ -65,6 +68,7 @@ class StiffnessMatrix:
 
     matrix: sp.csr_matrix
     dimension: int
+    order: int
     diagonals: sp.dia_array | None = None
 
     @property
@@ -204,7 +208,7 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     mat.data *= grid.spacing ** float(-order)
     mat.sort_indices()
     mat.data.setflags(write=False)
-    stiffness = StiffnessMatrix(matrix=mat, dimension=grid.dimension)
+    stiffness = StiffnessMatrix(matrix=mat, dimension=grid.dimension, order=order)
     if grid.fills_lattice and not stiffness.factored:
         stiffness = replace(stiffness, diagonals=_diagonal_storage(mat))
     return stiffness

@@ -413,7 +413,7 @@ class Solution:
     member_seeds: tuple[int, ...]
 
 
-def classify_solutions(seeds, results, node_count: int,
+def classify_solutions(seeds, results,
                        mu_rtol: float = 1e-8) -> tuple[list[Solution], list[int]]:
     """Group per-seed results into classes; returns (classes, label per seed).
 
@@ -425,14 +425,14 @@ def classify_solutions(seeds, results, node_count: int,
     firsts: list[tuple] = []  # (seed, result) of each class's first member
     members: list[list[int]] = []
     labels: list[int] = []
-    max_diff = _SET_TOL * node_count
     for seed, result in zip(seeds, results):
-        _, pair, partition, _ = result
+        density, pair, partition, _ = result
+        node_count = density.grid.node_count
         for k, (_, (_, rep_pair, rep_partition, _)) in enumerate(firsts):
             close_mu = abs(pair.eigenvalue - rep_pair.eigenvalue) <= \
                 mu_rtol * max(abs(pair.eigenvalue), abs(rep_pair.eigenvalue))
             diff = _split_change(partition, rep_partition, node_count)
-            if close_mu and diff <= max_diff:
+            if close_mu and diff <= _SET_TOL * node_count:
                 break
         else:
             k = len(firsts)
@@ -458,6 +458,5 @@ def multi_start(spec: ProblemSpec, seeds, opts: SolverOptions = SolverOptions(),
         raise ValueError("need at least one seed")
     results = [minimize(spec, init=seed, opts=opts,
                         max_alternations=max_alternations) for seed in seeds]
-    classes, _ = classify_solutions(seeds, results, spec.grid.node_count,
-                                    mu_rtol=mu_rtol)
+    classes, _ = classify_solutions(seeds, results, mu_rtol=mu_rtol)
     return classes

@@ -62,7 +62,7 @@ def dumbbell_experiment():
 def oracle_runs():
     """The four oracle configurations with their per-seed minimize results."""
     start = time.time()
-    opts = mo.SolverOptions(cg_rel_tol=1e-13, eig_rel_tol=1e-12)
+    opts = mo.SolverOptions(eig_rel_tol=1e-12)
     out = []
     for side, mass in ((3.0, 5.0), (3.0, 5.5), (4.0, 12.0), (4.0, 12.5)):
         grid = mo.build_grid(mo.square_spec(1.0, side=side))
@@ -93,12 +93,9 @@ def plate_runs(tmp_path_factory):
 
     # self-convergence of the uniform-density plate eigenvalue
     mus = {}
-    for k, opts in ((8, mo.SolverOptions(cg_rel_tol=1e-12, eig_rel_tol=1e-10,
-                                         max_iterations=4000)),
-                    (16, mo.SolverOptions(cg_rel_tol=1e-12, eig_rel_tol=2e-10,
-                                          max_iterations=4000)),
-                    (32, mo.SolverOptions(cg_rel_tol=3e-11, eig_rel_tol=1e-8,
-                                          max_iterations=4000))):
+    for k, opts in ((8, mo.SolverOptions(eig_rel_tol=1e-10, max_iterations=4000)),
+                    (16, mo.SolverOptions(eig_rel_tol=2e-10, max_iterations=4000)),
+                    (32, mo.SolverOptions(eig_rel_tol=1e-8, max_iterations=4000))):
         g = mo.build_grid(mo.square_spec(1.0 / k))
         a = mo.assemble_stiffness(g, order=4)
         mus[k] = mo.first_eigenpair(a, np.ones(g.node_count), opts).eigenvalue
@@ -113,8 +110,7 @@ def plate_runs(tmp_path_factory):
         subset_by_index=[0, 0])[0][0])
     out["iterative_mu"] = mo.first_eigenpair(
         a16, np.ones(g16.node_count),
-        mo.SolverOptions(cg_rel_tol=1e-12, eig_rel_tol=2e-10,
-                         max_iterations=4000)).eigenvalue
+        mo.SolverOptions(eig_rel_tol=2e-10, max_iterations=4000)).eigenvalue
 
     # composite plate through the CLI, with its exports
     plate_dir = tmp_path_factory.mktemp("plate")

@@ -38,7 +38,7 @@ def test_minimal_config_defaults():
     assert rc.problem.order == 2
     assert rc.problem.exponent == 2
     assert rc.seeds == (0,)
-    assert rc.solver.cg_rel_tol == 1e-10
+    assert rc.solver == mo.SolverOptions()
 
 
 def test_bound_exponent_echoes_derived_box():
@@ -115,7 +115,13 @@ def test_infeasible_mass_names_constraint():
      "key 'p': the plate subcommand is the order-4 run"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nn = 1\n", "key 'n': exponent must be >= 2"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nmax_power_iterations = 0\n",
-     "solver options: iteration cap must be >= 1"),
+     "key 'max_power_iterations': iteration cap must be >= 1"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\neig_tol = 0\n",
+     r"key 'eig_tol': eig_rel_tol must lie in \(0, 1\), got 0\.0"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\neig_tol = 1\n",
+     r"key 'eig_tol': eig_rel_tol must lie in \(0, 1\), got 1\.0"),
+    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\neig_tol = nan\n",
+     r"key 'eig_tol': eig_rel_tol must lie in \(0, 1\), got nan"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nmax_alternations = 0\n",
      "key 'max_alternations': must be >= 1"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\ncheck_levels = 1\n",
@@ -137,7 +143,7 @@ def test_plate_subcommand_defaults_to_order_4():
                       subcommand="plate")
     assert rc.problem.order == 4
     assert rc.problem.exponent == 4
-    assert rc.solver.cg_rel_tol == 1e-12
+    assert rc.problem.stiffness.order == 4
 
 
 def _write_cfg(tmp_path, text, name="run.cfg"):
@@ -159,6 +165,18 @@ def test_solve_writes_expected_artifacts(tmp_path):
     header = (out / "density.csv").read_text().splitlines()[0:4]
     assert any("config=" in line for line in header)
     assert (out / "phi.pgm").read_bytes().startswith(b"P5\n")
+
+
+def test_partition_of_an_empty_low_region_is_one_empty_line(tmp_path):
+    # M = Lam |Omega| = 4 * 49/64: every node is high
+    cfg = _write_cfg(tmp_path, "shape = square\nh = 1/8\nlam = 0.25\nLam = 4\nM = 3.0625\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert "status = ok" in (out / "status.txt").read_text()
+    head, body = (out / "partition.txt").read_text().split(
+        "# one low-region node index per line\n")
+    assert "# low_count=0 high_count=49\n" in head
+    assert body == "\n"
 
 
 def test_identical_configs_byte_reproduce(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt import operators
 from membrane_opt.cli import parse_config
 from membrane_opt.eigen import (
     CGStagnationError,
@@ -19,7 +20,7 @@ from membrane_opt.eigen import (
     _Lobpcg,
     solve_spd,
 )
-from membrane_opt.operators import FACTOR_MAX_NODES
+from membrane_opt.operators import FACTOR_MAX_NODES, StiffnessMatrix
 from shapes import Region
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -28,6 +29,16 @@ _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _laplacian(h):
     g = mo.build_grid(mo.square_spec(h))
     return g, mo.assemble_stiffness(g)
+
+
+def _cg_copy(a):
+    """A copy of the stiffness ``a`` that solves by conjugate gradients,
+    though its grid would be factored."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "FACTOR_MAX_NODES", 0)
+        copy = dataclasses.replace(a)
+        assert copy.factor is None
+    return copy
 
 
 def test_solve_single_node():
@@ -59,9 +70,20 @@ def test_solve_honors_warm_start():
 
 
 def test_solve_rejects_indefinite():
-    bad = sp.csr_matrix(np.diag([1.0, -1.0]))
+    bad = StiffnessMatrix(matrix=sp.csr_matrix(np.diag([1.0, -1.0])), dimension=1, order=2)
     with pytest.raises(CGStagnationError, match="CG stagnation"):
         solve_spd(bad, np.array([1.0, 1.0]), 1e-12)
+
+
+def test_solve_raises_past_its_cap():
+    # on the 1D clamped plate CG does not reach 1e-12 within its 10 n steps
+    g = mo.build_grid(mo.square_spec(1.0 / 64, dimension=1))
+    a = mo.assemble_stiffness(g, order=4)
+    assert g.node_count == 63 and a.factor is None
+    with pytest.raises(CGStagnationError,
+                       match=r"^CG stagnation: cap of 630 iterations exceeded "
+                             r"\(relative residual 1\.798e-09, target 1\.000e-12\)$"):
+        solve_spd(a, np.ones(g.node_count), 1e-12)
 
 
 def test_solve_rejects_nonfinite_rhs():
@@ -71,7 +93,8 @@ def test_solve_rejects_nonfinite_rhs():
 
 
 def _diag_stiffness(values):
-    return sp.csr_matrix(np.diag(np.asarray(values, dtype=float)))
+    return StiffnessMatrix(matrix=sp.csr_matrix(np.diag(np.asarray(values, dtype=float))),
+                           dimension=1, order=2)
 
 
 def test_first_eigenpair_diagonal_identity_weight():
@@ -161,7 +184,7 @@ def test_residual_is_as_measured():
 
 def test_solver_options_validate():
     with pytest.raises(ValueError):
-        mo.SolverOptions(cg_rel_tol=0.0)
+        mo.SolverOptions(eig_rel_tol=0.0)
     with pytest.raises(ValueError):
         mo.SolverOptions(eig_rel_tol=1.5)
     with pytest.raises(ValueError):
@@ -194,7 +217,7 @@ def test_weight_vector_is_validated_before_any_solve(factored, weights, message,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            mo.first_eigenpair(a if factored else a.matrix, weights)
+            mo.first_eigenpair(a if factored else _cg_copy(a), weights)
 
 
 def test_nonconvergence_names_the_method():
@@ -204,7 +227,7 @@ def test_nonconvergence_names_the_method():
     with pytest.raises(EigenConvergenceError, match="^LOBPCG did not converge"):
         mo.first_eigenpair(a, w, one_step)
     with pytest.raises(EigenConvergenceError, match="^power iteration did not converge"):
-        mo.first_eigenpair(a.matrix, w, one_step)
+        mo.first_eigenpair(_cg_copy(a), w, one_step)
 
 
 @pytest.mark.parametrize("factored", [True, False])
@@ -220,7 +243,7 @@ def test_start_vector_is_validated(factored, start, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            mo.first_eigenpair(a if factored else a.matrix, np.ones(49), start=start)
+            mo.first_eigenpair(a if factored else _cg_copy(a), np.ones(49), start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ _MASK_CELLS = [(i, j) for i in range(1, 8) for j in range(1, 8)]
 def _assert_backends_agree(a, w, opts=mo.SolverOptions()):
     assert a.factor is not None
     factored = mo.first_eigenpair(a, w, opts)
-    plain = mo.first_eigenpair(a.matrix, w, opts)
+    plain = mo.first_eigenpair(_cg_copy(a), w, opts)
     values, vectors = scipy.linalg.eigh(a.matrix.toarray(), np.diag(w))
     dense = vectors[:, 0] * np.sign(vectors[np.argmax(np.abs(vectors[:, 0])), 0])
     for pair in (factored, plain):
@@ -264,8 +287,9 @@ def test_factored_cg_and_dense_agree_on_random_masks(inside, weights):
 
 def test_cg_warm_start_does_not_stall_inverse_iteration():
     # mu ~ 165 on three nodes: once the eigen-residual over mu drops below
-    # cg_rel_tol, a warm start returned unchanged would pin the residual
-    # near mu * cg_rel_tol, above the 10 * eig_rel_tol stopping target
+    # the CG tolerance, a warm start returned unchanged would pin the
+    # residual near mu times that tolerance, above the 10 * eig_rel_tol
+    # stopping target
     g = mo.build_grid(mo.GridSpec(2, _MASK_H, ((0.0, 1.0), (0.0, 1.0)),
                                   Region.cells(_MASK_H, [(7, 5), (7, 6), (7, 7)])))
     _assert_backends_agree(mo.assemble_stiffness(g), np.ones(g.node_count))
@@ -275,7 +299,7 @@ def test_factored_cg_and_dense_agree_on_plate():
     g = mo.build_grid(mo.square_spec(_MASK_H))
     a = mo.assemble_stiffness(g, order=4)
     w = np.linspace(0.5, 2.0, g.node_count)
-    _assert_backends_agree(a, w, mo.SolverOptions(cg_rel_tol=1e-12))
+    _assert_backends_agree(a, w)
 
 
 def test_backend_rule_factors_small_2d_grids_only():
@@ -316,7 +340,7 @@ def test_factored_solve_is_direct():
 def test_cg_solve_rejects_block_rhs():
     g, a = _laplacian(1.0 / 8)
     with pytest.raises(ValueError, match="one right-hand side"):
-        solve_spd(a.matrix, np.ones((g.node_count, 2)), 1e-10)
+        solve_spd(_cg_copy(a), np.ones((g.node_count, 2)), 1e-10)
 
 
 def _textbook_cg(mat, b, tol, x0=None):
@@ -353,7 +377,8 @@ def _textbook_cg(mat, b, tol, x0=None):
 ], ids=["disk", "plate"])
 def test_cg_loop_matches_textbook_loop_bitwise(grid_spec, order, warm):
     g = mo.build_grid(grid_spec)
-    mat = mo.assemble_stiffness(g, order=order).matrix
+    a = _cg_copy(mo.assemble_stiffness(g, order=order))
+    mat = a.matrix
     rng = np.random.default_rng(11)
     b = rng.random(g.node_count) + 0.5
     # a warm start near the solution, as inverse iteration hands CG one
@@ -361,7 +386,7 @@ def test_cg_loop_matches_textbook_loop_bitwise(grid_spec, order, warm):
     expected, steps = _textbook_cg(mat, b, 1e-10, x0)
     # the periodic residual refresh runs at least once
     assert steps > 50
-    assert solve_spd(mat, b, 1e-10, x0).tobytes() == expected.tobytes()
+    assert solve_spd(a, b, 1e-10, x0).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +410,7 @@ def test_block_path_resolves_symmetric_dumbbell():
     assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
     assert pair.residual <= 10.0 * mo.SolverOptions().eig_rel_tol
     with pytest.raises(EigenConvergenceError):
-        mo.first_eigenpair(a.matrix, w, start=start)
+        mo.first_eigenpair(_cg_copy(a), w, start=start)
 
 
 def test_block_path_needs_a_fifth_of_the_power_steps():
@@ -395,7 +420,7 @@ def test_block_path_needs_a_fifth_of_the_power_steps():
     # converges, in ~900 steps
     w = 1.0 + 0.03 * (x - x.mean()) / np.ptp(x)
     block = mo.first_eigenpair(a, w)
-    power = mo.first_eigenpair(a.matrix, w, mo.SolverOptions(max_iterations=5000))
+    power = mo.first_eigenpair(_cg_copy(a), w, mo.SolverOptions(max_iterations=5000))
     assert 5 * block.iterations <= power.iterations
     assert abs(block.eigenvalue - power.eigenvalue) <= 1e-9 * power.eigenvalue
 
@@ -430,7 +455,7 @@ def test_width_one_block_agrees_with_dense(h, node):
     assert _Lobpcg(start, w).width == 1
     values = scipy.linalg.eigvalsh(a.matrix.toarray(), np.diag(w))
     for pair in (mo.first_eigenpair(a, w, start=start),
-                 mo.first_eigenpair(a.matrix, w, start=start)):
+                 mo.first_eigenpair(_cg_copy(a), w, start=start)):
         assert abs(pair.eigenvalue - values[0]) <= 1e-9 * values[0]
         assert pair.residual <= 10.0 * mo.SolverOptions().eig_rel_tol
 
@@ -551,7 +576,7 @@ def test_cg_eigenpair_takes_diagonal_products_bitwise(order):
     a = mo.assemble_stiffness(g, order=order)
     assert a.factor is None and a.diagonals is not None
     w = np.random.default_rng(order).uniform(0.5, 2.0, g.node_count)
-    opts = mo.SolverOptions(cg_rel_tol=1e-12, eig_rel_tol=1e-10, max_iterations=4000)
+    opts = mo.SolverOptions(eig_rel_tol=1e-10, max_iterations=4000)
     csr = dataclasses.replace(a, diagonals=None)
     got = mo.first_eigenpair(a, w, opts)
     want = mo.first_eigenpair(csr, w, opts)

@@ -51,7 +51,7 @@ def test_oracle_matches_multi_start_on_3x3():
     spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=2.0, mass=12.0)  # k = 3
     oracle = mo.enumerate_optimal(spec)
     sols = mo.multi_start(spec, range(8),
-                          opts=mo.SolverOptions(cg_rel_tol=1e-13, eig_rel_tol=1e-12))
+                          opts=mo.SolverOptions(eig_rel_tol=1e-12))
     best = min(s.eigenpair.eigenvalue for s in sols)
     assert abs(best - oracle.eigenvalue) <= 1e-10 * abs(oracle.eigenvalue)
     # the oracle is a lower bound for every single run, not just the best
