@@ -454,7 +454,7 @@ def trace_text(stream, trace: OptimizationTrace, header: dict) -> None:
         lines.append(json.dumps({
             "type": "record", "iteration": r.iteration, "mu": r.eigenvalue,
             "threshold": r.threshold, "set_change": r.set_change,
-            "residual": r.residual,
+            "residual": r.residual, "steps": r.steps,
         }, sort_keys=True))
     lines.append(json.dumps({"type": "status", "status": trace.status}, sort_keys=True))
     stream.write("\n".join(lines) + "\n")
@@ -624,7 +624,9 @@ def _run_check(config: RunConfig, out: Path) -> int:
                            exponent=problem.exponent)
 
     # the flat problem at the config's spacing, the config's own on a flat
-    # config: its stiffness serves this report and regularity level 0
+    # config: its stiffness serves this report and regularity level 0; on a
+    # curved config the curved problem shares the config's grid, and with it
+    # the stiffness that the symmetry report solves with
     flat_problem = problem if flat_config else problem_on(flat)
     curved_problem = problem_on(curved)
 

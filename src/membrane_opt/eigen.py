@@ -23,11 +23,15 @@ warm-started from the previous iterate, which converges at rate mu1/mu2.
 Both are deterministic: fixed all-ones start, a fixed second block column,
 no randomization, no threading (SuperLU is single-threaded).  The Rayleigh
 quotient of the iterates is non-increasing, which the outer density
-optimization relies on for monotone descent.
+optimization relies on for monotone descent.  A caller may also end a
+solve early through a stop test (``first_eigenpair``'s ``stop``): the
+density optimizer stops each intermediate solve once the next bathtub
+split is decided.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,7 +251,9 @@ def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
 
 def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
                     opts: SolverOptions = SolverOptions(),
-                    start: np.ndarray | None = None) -> EigenPair:
+                    start: np.ndarray | None = None,
+                    stop: Callable[[np.ndarray, float], bool] | None = None,
+                    ) -> EigenPair:
     """Smallest eigenpair of A phi = mu W phi, W = diag(weights).
 
     Each outer step yields a W-normalized iterate x with mu <- x' A x.
@@ -278,6 +284,13 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
     lowest residual.  Power iteration contracts at rate mu1/mu2, so a
     nearly degenerate leading eigenvalue shows only as slow steps and then
     that error (exit code 2 from the command line).
+
+    ``stop``, when given, is called after each step that misses that test,
+    with the step's W-normalized iterate x (which it must not modify) and
+    its mu; a true result ends the solve there and returns that step's
+    pair, whose residual may lie far above the target.  ``minimize`` passes a
+    test that is true once the bathtub split of the iterates is decided
+    (``optimizer._split_decided``).
     """
     mat = _matrix(A)
     n = mat.shape[0]
@@ -315,6 +328,8 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
             best = (mu, x, residual, it)
         if mu_prev is not None and abs(mu - mu_prev) <= opts.eig_rel_tol * abs(mu) \
                 and residual <= target:
+            return _pair(mu, x, residual, it)
+        if stop is not None and stop(x, mu):
             return _pair(mu, x, residual, it)
         mu_prev = mu
 

@@ -1,20 +1,24 @@
 """Alternating minimization of the first eigenvalue over constrained densities.
 
 The density lives in the box [rho_min, rho_max] with a prescribed total
-mass.  The outer loop alternates two exact half-steps: solve the weighted
+mass.  The outer loop alternates two half-steps: solve the weighted
 eigenproblem for the current density, then redistribute the density by the
 bathtub principle on the squared eigenfunction (upper bound where phi^2 is
 largest, lower bound elsewhere, one fractional node to meet the mass
-exactly).  Each half-step minimizes the Rayleigh quotient in one argument,
-so the eigenvalue sequence is non-increasing.  Fixed points are two-valued
-densities whose low region is a sub-level set of the eigenfunction.
+exactly).  The bathtub is exact; the eigensolve is exact wherever its
+result can end the run, and elsewhere stops once it has decided the next
+split (see ``minimize``).  Each half-step lowers the Rayleigh quotient in
+one argument, so the eigenvalue sequence is non-increasing.  Fixed points
+are two-valued densities whose low region is a sub-level set of the
+eigenfunction.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +51,13 @@ _MASS_RTOL = 1e-12
 _FEAS_RTOL = 1e-12
 # largest share of the nodes on which the splits of one class may differ
 _SET_TOL = 0.01
+# relative change of mu between two steps below which an intermediate
+# eigensolve of minimize may stop on a repeated split (see _split_decided)
+_SPLIT_MU_RTOL = 1e-6
+
+# stiffness by order of each live grid (see ProblemSpec.stiffness); the keys
+# are weak, so the cache keeps no grid alive and an entry goes with its grid
+_STIFFNESS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def conformal_bounds(bound_exponent: float, exponent: int = 2) -> tuple[float, float]:
@@ -72,8 +83,9 @@ class ProblemSpec:
     ``exponent`` is the n in rho = e^(n u); it only enters the recovery of
     the conformal factor u = log(rho) / n and the derived bounds.  The
     operator depends only on the grid and the order, never on the density,
-    so the problem owns it: ``stiffness`` is assembled on first use, and
-    every solve of the problem shares it and its cached factor.
+    so it is kept per grid: ``stiffness`` is assembled on first use, and
+    every solve of every problem on the same grid and order shares it and
+    its cached factor.
     """
 
     grid: Grid
@@ -101,10 +113,14 @@ class ProblemSpec:
                 f"got M = {self.mass:.6g}"
             )
 
-    @cached_property
+    @property
     def stiffness(self) -> StiffnessMatrix:
-        """Order-``order`` stiffness of ``grid``, assembled once."""
-        return assemble_stiffness(self.grid, self.order)
+        """Order-``order`` stiffness of ``grid``, assembled once per grid and
+        order: problems on one grid, such as two masses, share it."""
+        by_order = _STIFFNESS.setdefault(self.grid, {})
+        if self.order not in by_order:
+            by_order[self.order] = assemble_stiffness(self.grid, self.order)
+        return by_order[self.order]
 
 
 def target_high_mass(spec: ProblemSpec) -> float:
@@ -200,6 +216,45 @@ class LevelSetPartition:
         return int(self.high_nodes.size)
 
 
+def _bathtub_cut(phi: np.ndarray, spec: ProblemSpec):
+    """The bathtub's ranking and cut for ``bathtub_rearrange``: the nodes
+    ordered by (phi^2, node index) descending, the count k of upper-bound
+    nodes at the head of that order, the budget left before each ranked
+    node, and the fractional node (None when the budget divides evenly)."""
+    cells = spec.grid.cell_volumes
+    n = cells.shape[0]
+    key = phi * phi
+    order = np.lexsort((np.arange(n), -key))
+    ranked = cells[order]
+    # budget left before each ranked node, subtracted left to right so the
+    # rounding is that of a sequential fill (budget - cumsum is not)
+    left = np.subtract.accumulate(np.concatenate(([target_high_mass(spec)], ranked)))
+    # k = rank of the first node that no longer fits; every node before it
+    # takes the upper bound, and no later node is considered
+    k = int(np.argmin(np.append(left[:-1] >= ranked * (1.0 - 1e-12), False)))
+    # skipping this much budget would miss the mass target; the threshold
+    # is mass-relative so huge boxes stay exact too
+    fractional = None
+    if k < n and left[k] * (spec.rho_max - spec.rho_min) > 1e-14 * spec.mass:
+        fractional = int(order[k])
+    return order, k, left, fractional
+
+
+class _Split(NamedTuple):
+    """High set (sorted) and fractional node of a bathtub, the part of a
+    ``LevelSetPartition`` that ``_same_split`` compares."""
+
+    high_nodes: np.ndarray
+    fractional_node: int | None
+
+
+def _split(phi: np.ndarray, spec: ProblemSpec) -> _Split:
+    """The split that ``bathtub_rearrange(phi, spec)`` reports, without
+    building its density."""
+    order, k, _, fractional = _bathtub_cut(phi, spec)
+    return _Split(np.sort(order[:k]), fractional)
+
+
 def bathtub_rearrange(phi: np.ndarray,
                       spec: ProblemSpec) -> tuple[DensityField, LevelSetPartition]:
     """Mass-constrained box maximizer of sum(phi^2 rho e^(2w) h^d) on the
@@ -223,26 +278,12 @@ def bathtub_rearrange(phi: np.ndarray,
         raise ValueError(f"phi has shape {phi.shape}, grid has {n} nodes")
 
     cells = grid.cell_volumes
-    budget = target_high_mass(spec)
     lo, hi = spec.rho_min, spec.rho_max
-
-    key = phi * phi
-    order = np.lexsort((np.arange(n), -key))
-    ranked = cells[order]
-    # budget left before each ranked node, subtracted left to right so the
-    # rounding is that of a sequential fill (budget - cumsum is not)
-    left = np.subtract.accumulate(np.concatenate(([budget], ranked)))
-    # k = rank of the first node that no longer fits; every node before it
-    # takes the upper bound, and no later node is considered
-    k = int(np.argmin(np.append(left[:-1] >= ranked * (1.0 - 1e-12), False)))
+    order, k, left, fractional = _bathtub_cut(phi, spec)
 
     rho = np.full(n, lo)
     rho[order[:k]] = hi
-    fractional: int | None = None
-    # skipping this much budget would miss the mass target; the threshold
-    # is mass-relative so huge boxes stay exact too
-    if k < n and left[k] * (hi - lo) > 1e-14 * spec.mass:
-        fractional = int(order[k])
+    if fractional is not None:
         cell = float(cells[fractional])
         rho[fractional] = lo + (hi - lo) * (left[k] / cell)
         # pin the mass exactly by recomputing the fractional value
@@ -281,13 +322,17 @@ class TraceRecord:
     """One outer iteration; set_change counts the nodes whose class (low,
     fractional or high) differs from the previous iteration's split (the
     low region's size on the first), so it is 0 exactly on a repeated
-    split."""
+    split.  ``residual`` and ``steps`` are the eigenpair's residual and
+    outer-step count (``EigenPair.iterations``); a solve that ``minimize``
+    stopped once its split was decided shows a residual far above the
+    eigensolver's tolerance."""
 
     iteration: int
     eigenvalue: float
     threshold: float
     set_change: int
     residual: float
+    steps: int
 
 
 @dataclass(eq=False)
@@ -317,8 +362,10 @@ def _resolve_init(spec: ProblemSpec, init) -> DensityField:
     raise TypeError(f"unsupported initial density: {init!r}")
 
 
-def _same_split(a: LevelSetPartition, b: LevelSetPartition | None) -> bool:
-    """Same high set and fractional node (the low set then follows)."""
+def _same_split(a, b) -> bool:
+    """Same high set and fractional node (the low set then follows); each
+    of a and b is a ``LevelSetPartition`` or a ``_Split``, and b may be
+    None."""
     return b is not None and a.fractional_node == b.fractional_node \
         and np.array_equal(a.high_nodes, b.high_nodes)
 
@@ -334,6 +381,31 @@ def _split_change(a: LevelSetPartition, b: LevelSetPartition, node_count: int) -
     return int(np.count_nonzero(classes[0] != classes[1]))
 
 
+def _split_decided(spec: ProblemSpec, ending: tuple[LevelSetPartition | None, ...]):
+    """Stop test of one intermediate eigensolve of ``minimize``, called
+    after each outer step with the W-normalized iterate x and its mu.
+
+    True once mu has moved by at most ``_SPLIT_MU_RTOL`` relative since the
+    previous step and the bathtub split of x equals that of the previous
+    iterate, unless the split equals one in ``ending``: those would end
+    the run, so that solve goes on to the full stopping test.  The split is
+    worked out only on steps that pass the mu test.
+    """
+    mu_prev = split_prev = None
+
+    def stop(x: np.ndarray, mu: float) -> bool:
+        nonlocal mu_prev, split_prev
+        split = None
+        if mu_prev is not None and abs(mu - mu_prev) <= _SPLIT_MU_RTOL * abs(mu):
+            split = _split(x, spec)
+        decided = split is not None and _same_split(split, split_prev) \
+            and not any(_same_split(split, p) for p in ending)
+        mu_prev, split_prev = mu, split
+        return decided
+
+    return stop
+
+
 def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions(),
              max_alternations: int = 200,
              ) -> tuple[DensityField, EigenPair, LevelSetPartition, OptimizationTrace]:
@@ -344,8 +416,21 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     repeated split (converged: the density just solved is a fixed point, the
     last pair its eigenpair), at the split of two iterations earlier
     (cycling), or at the iteration cap; returns the last bathtub output.
-    Warm-starting each eigensolve from the previous eigenvector keeps the
-    recorded eigenvalues non-increasing up to solver tolerance.
+
+    Each eigensolve warm-starts from the previous eigenvector.  Only the
+    next split depends on an intermediate solve, so a solve whose split
+    cannot end the run (not the last allowed alternation, a box wider than
+    a point, and a split unlike the previous two) ends as soon as two
+    consecutive iterates agree in mu to ``_SPLIT_MU_RTOL`` and in their
+    bathtub split (Cox & McLaughlin, Appl. Math. Optim. 22, 1990, and Kao &
+    Su, J. Sci. Comput. 54, 2013, iterate rearrangements the same way).
+    Its trace record holds that iterate's mu, and a residual far above the
+    solver's tolerance.  Every solve whose split ends the run meets the
+    full stopping test of ``first_eigenpair``, so the returned pair does on
+    every status.  The recorded eigenvalues stay non-increasing up to
+    solver tolerance all the same: the next density rho' is the bathtub of
+    the recorded iterate x, so R(x; rho') <= R(x; rho) = mu, and the next
+    solve starts at x, from where its Rayleigh quotient does not rise.
     """
     if max_alternations < 1:
         raise ValueError("iteration cap must be >= 1")
@@ -364,8 +449,11 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     partition: LevelSetPartition | None = None
     for it in range(max_alternations):
         weights = assemble_weight(grid, rho.values)
+        # a solve whose split may end the run takes the full stopping test
+        stop = None if it == max_alternations - 1 or spec.rho_min == spec.rho_max \
+            else _split_decided(spec, (prev, prev2))
         try:
-            pair = first_eigenpair(stiffness, weights, opts, start=warm)
+            pair = first_eigenpair(stiffness, weights, opts, start=warm, stop=stop)
         except SolverError as exc:
             # hand the trace so far to the caller for partial reporting
             exc.partial_trace = trace  # type: ignore[attr-defined]
@@ -382,6 +470,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
             threshold=partition.threshold,
             set_change=set_change,
             residual=pair.residual,
+            steps=pair.iterations,
         ))
         if spec.rho_min == spec.rho_max:
             trace.status = CONVERGED

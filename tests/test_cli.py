@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import re
@@ -199,6 +200,30 @@ def test_solve_a_zero_square_trace_length_one(tmp_path):
     import json
     mu = json.loads(records[0])["mu"]
     assert abs(mu - 2.0 * math.pi**2) <= 0.01 * 2.0 * math.pi**2
+
+
+def test_trace_records_the_steps_of_each_eigensolve(tmp_path, monkeypatch):
+    # configs/plate_4d.cfg at h = 1/6, where some alternations stop early
+    from membrane_opt import optimizer
+
+    pairs = []
+
+    def recorded(*args, **kwargs):
+        pairs.append(mo.first_eigenpair(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(optimizer, "first_eigenpair", recorded)
+    text = ("shape = square\nd = 4\nh = 1/6\nlam = 0.5\nLam = 2\n"
+            "M = 0.4822530864197532\neig_tol = 1e-8\n")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["plate", "--config", cfg, "--out", str(out)]) == 0
+    records = [r for r in map(json.loads, (out / "trace.txt").read_text().splitlines())
+               if r["type"] == "record"]
+    steps = [r["steps"] for r in records]
+    assert steps == [p.iterations for p in pairs]
+    assert sum(steps) == sum(p.iterations for p in pairs)
+    assert len(set(steps)) > 1
 
 
 def test_oracle_subcommand_matches(tmp_path):
@@ -405,14 +430,15 @@ def test_report_subcommands_exit_2_when_a_run_hits_the_cap(tmp_path, subcommand,
 @pytest.mark.parametrize("text, nodes, builds, assemblies", [
     (FLAT_SQUARE_CHECK, 225, 2, 2),
     ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
-     "bump_amplitude = 0.3\ncheck_levels = 2\n", 193, 2, 3),
+     "bump_amplitude = 0.3\ncheck_levels = 2\n", 193, 2, 2),
 ], ids=["flat-square", "curved-disk"])
 def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypatch, text,
                                                             nodes, builds, assemblies):
     # the config's own grid is the flat grid on a flat config and the curved
     # one otherwise; a flat config's problem serves the conformal report and
-    # regularity level 0, while the curved and flat stiffness stay separate
-    # assemblies, which the conformal report compares
+    # regularity level 0, and on a curved config the curved problem and the
+    # config's own share one stiffness, while the curved and flat stiffness
+    # stay separate assemblies, which the conformal report compares
     from membrane_opt import optimizer
 
     built, assembled = [], []

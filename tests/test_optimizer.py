@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -333,7 +334,7 @@ def test_minimize_status_cycling(monkeypatch):
     vectors = [1.0 + x, 5.0 - x]
     calls = []
 
-    def alternating(stiffness, weights, opts, start=None):
+    def alternating(stiffness, weights, opts, start=None, stop=None):
         vector = vectors[len(calls) % 2]
         calls.append(vector)
         return mo.EigenPair(eigenvalue=1.0, vector=vector, residual=0.0, iterations=1)
@@ -404,6 +405,72 @@ def test_plate_on_the_cg_path_converges_at_default_solver_options():
     _, pair, _, trace = mo.minimize(spec, opts=mo.SolverOptions())
     assert trace.status == CONVERGED
     assert pair.residual <= 10.0 * mo.SolverOptions().eig_rel_tol
+
+
+def _cg_plate(dimension, k, rho_min=0.5, rho_max=2.0):
+    # configs/plate_4d.cfg's box and mass fraction on the unit cube at h = 1/k,
+    # with its eig_tol; every such grid solves on the conjugate-gradient path
+    g = mo.build_grid(mo.square_spec(1.0 / k, dimension=dimension))
+    spec = mo.ProblemSpec(grid=g, rho_min=rho_min, rho_max=rho_max,
+                          mass=mo.domain_volume(g), order=4, exponent=4)
+    assert not spec.stiffness.factored
+    return spec, mo.SolverOptions(eig_rel_tol=1e-8)
+
+
+def _full_solves(*args, stop=None, **kwargs):
+    """first_eigenpair without the stop test that minimize hands it."""
+    return mo.first_eigenpair(*args, **kwargs)
+
+
+def _alternating_densities(monkeypatch, spec):
+    # the real eigensolve, stop test included, but on the bathtubs of two
+    # mirrored ramps in turn, whatever density minimize hands it, so the
+    # third split repeats the first
+    x = spec.grid.coordinates()[:, 0]
+    turns = itertools.cycle(
+        [mo.assemble_weight(spec.grid, mo.bathtub_rearrange(v, spec)[0].values)
+         for v in (1.0 + x, 5.0 - x)])
+
+    def alternating(stiffness, _, opts, start=None, stop=None):
+        return mo.first_eigenpair(stiffness, next(turns), opts, start=start, stop=stop)
+
+    monkeypatch.setattr(optimizer, "first_eigenpair", alternating)
+
+
+@pytest.mark.parametrize("status, box, kwargs, stand_in", [
+    (CONVERGED, (0.5, 2.0), {}, None),
+    (CYCLING, (0.5, 2.0), {}, _alternating_densities),
+    (MAX_ITER, (0.5, 2.0), {"max_alternations": 3}, None),
+    (CONVERGED, (1.0, 1.0), {}, None),
+], ids=["converged", "cycling", "max-iter", "degenerate-box"])
+def test_minimize_returns_an_exact_pair_on_every_status(monkeypatch, status, box, kwargs,
+                                                       stand_in):
+    # intermediate solves may stop once their split is decided, but the
+    # solve whose split ends the run always meets the full stopping test
+    spec, opts = _cg_plate(4, 6, *box)
+    if stand_in is not None:
+        stand_in(monkeypatch, spec)
+    _, pair, _, trace = mo.minimize(spec, opts=opts, **kwargs)
+    assert trace.status == status
+    target = 10.0 * opts.eig_rel_tol
+    assert pair.residual <= target
+    assert trace.records[-1].residual == pair.residual
+    if len(trace) > 1:
+        # some earlier solve did stop early
+        assert max(r.residual for r in trace.records[:-1]) > target
+
+
+@pytest.mark.parametrize("dimension, k", [(4, 6), (3, 12)], ids=["4d-h6", "3d-h12"])
+def test_early_stop_saves_steps_and_keeps_the_fixed_point(monkeypatch, dimension, k):
+    spec, opts = _cg_plate(dimension, k)
+    _, pair, _, trace = mo.minimize(spec, opts=opts)
+    monkeypatch.setattr(optimizer, "first_eigenpair", _full_solves)
+    _, full_pair, _, full_trace = mo.minimize(spec, opts=opts)
+    assert trace.status == full_trace.status == CONVERGED
+    assert abs(pair.eigenvalue - full_pair.eigenvalue) <= 1e-12 * full_pair.eigenvalue
+    assert trace.is_monotone(0.0) and full_trace.is_monotone(0.0)
+    steps = sum(r.steps for r in trace.records)
+    assert steps < sum(r.steps for r in full_trace.records)
 
 
 def test_set_change_counts_a_fractional_node_trading_places_with_a_high_node():
