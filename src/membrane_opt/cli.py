@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,8 @@ def _build_grid_spec(values: dict) -> GridSpec:
     shape = values["shape"]
     h = values["h"]
     center = values["center"] or (0.0,) * d
+    if shape in ("disk", "annulus") and len(center) != d:
+        raise ConfigError(f"key 'center': needs {d} components")
     if shape == "square":
         return square_spec(h, side=values["side"], dimension=d)
     if shape == "rectangle":
@@ -226,8 +229,6 @@ def _build_grid_spec(values: dict) -> GridSpec:
             raise ConfigError(f"key 'bbox': gives {spec.dimension} axes, d = {d}")
         return spec
     if shape == "disk":
-        if len(center) != d:
-            raise ConfigError(f"key 'center': needs {d} components")
         return disk_spec(h, radius=values["radius"], center=center, dimension=d)
     if shape == "annulus":
         if values["r_in"] is None or values["r_out"] is None:
@@ -610,26 +611,25 @@ def _run_check(config: RunConfig, out: Path) -> int:
     # curved one otherwise
     amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
     flat_spec = replace(config.grid.spec, background=None)
-    flat_config = config.grid.flat
-    if flat_config:
+    if config.grid.flat:
         flat, curved = config.grid, build_grid(_with_bump(flat_spec, amplitude))
     else:
         flat, curved = build_grid(flat_spec), config.grid
-    fraction = problem.mass / domain_volume(flat)
+    # measured on the config's own grid, lam <= fraction <= Lam, so every
+    # problem below is feasible
+    fraction = problem.mass / domain_volume(config.grid)
 
     def problem_on(grid: Grid) -> ProblemSpec:
-        """The composite problem on ``grid`` at the config's mass fraction."""
+        """The config's problem on its own grid, elsewhere the composite
+        problem at the config's mass fraction."""
+        if grid is config.grid:
+            return problem
         return ProblemSpec(grid=grid, rho_min=problem.rho_min, rho_max=problem.rho_max,
                            mass=fraction * domain_volume(grid), order=problem.order,
                            exponent=problem.exponent)
 
-    # the flat problem at the config's spacing, the config's own on a flat
-    # config: its stiffness serves this report and regularity level 0; on a
-    # curved config the curved problem shares the config's grid, and with it
-    # the stiffness that the symmetry report solves with
-    flat_problem = problem if flat_config else problem_on(flat)
-    curved_problem = problem_on(curved)
-
+    # the flat problem also serves as regularity level 0
+    flat_problem, curved_problem = problem_on(flat), problem_on(curved)
     a_curved = curved_problem.stiffness
     a_flat = flat_problem.stiffness
     bit_identical = (
@@ -647,8 +647,9 @@ def _run_check(config: RunConfig, out: Path) -> int:
     mu_flat = first_eigenpair(a_flat, w_flat, config.solver).eigenvalue
     uniform_rel = abs(mu_curved - mu_flat) / abs(mu_flat)
 
-    density, pair, _, curved_trace = minimize(curved_problem, opts=config.solver,
-                                              max_alternations=config.max_alternations)
+    curved_run = minimize(curved_problem, opts=config.solver,
+                          max_alternations=config.max_alternations)
+    density, pair, _, curved_trace = curved_run
     traces = [curved_trace]
     mu_reweighted = first_eigenpair(
         a_flat, assemble_weight(flat, density.values * curved.e2w),
@@ -662,17 +663,11 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
                "verdict": "PASS" if conformal_ok else "FAIL"})
 
-    # regularity: the flat composite problem at h, h/2, ...; on a flat config
-    # level 0 is the config's own problem, whose solution the symmetry check
-    # below reuses
-    levels = [config.grid.spacing / 2**k for k in range(config.check_levels)]
-
-    def problem_at(h: float) -> ProblemSpec:
-        if h == levels[0]:
-            return flat_problem
-        return problem_on(build_grid(replace(flat_spec, spacing=h)))
-
-    report = regularity_trend(problem_at, levels, opts=config.solver,
+    # regularity: the flat composite problem at h, h/2, ...; each finer
+    # problem is built when its level is solved and dropped after it
+    finer = (problem_on(build_grid(replace(flat_spec, spacing=flat.spacing / 2**k)))
+             for k in range(1, config.check_levels))
+    report = regularity_trend(chain([flat_problem], finer), opts=config.solver,
                               max_alternations=config.max_alternations)
     traces += [solution[3] for solution in report.solutions]
     _write(out / "check_regularity.txt", _report,
@@ -681,7 +676,9 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "ratios": list(report.ratios),
                "verdict": "PASS" if report.bounded() else "FAIL"})
 
-    # symmetry: reflected converged densities give the same eigenvalue
+    # symmetry: reflected converged densities give the same eigenvalue; the
+    # solution of the config's own problem is regularity level 0 on a flat
+    # config and the curved run otherwise
     mirrors = {}
     for axis in range(config.grid.dimension):
         try:
@@ -691,12 +688,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     fields = {"symmetric_axes": list(mirrors)}
     equivariant = True
     if mirrors:
-        if flat_config:
-            density, pair, _, _ = report.solutions[0]
-        else:
-            density, pair, _, trace = minimize(problem, opts=config.solver,
-                                               max_alternations=config.max_alternations)
-            traces.append(trace)
+        density, pair, _, _ = report.solutions[0] if config.grid.flat else curved_run
         for axis, perm in mirrors.items():
             reflected = np.empty_like(density.values)
             reflected[perm] = density.values

@@ -16,8 +16,8 @@ eigenfunction.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -55,10 +55,6 @@ _SET_TOL = 0.01
 # eigensolve of minimize may stop on a repeated split (see _split_decided)
 _SPLIT_MU_RTOL = 1e-6
 
-# stiffness by order of each live grid (see ProblemSpec.stiffness); the keys
-# are weak, so the cache keeps no grid alive and an entry goes with its grid
-_STIFFNESS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def conformal_bounds(bound_exponent: float, exponent: int = 2) -> tuple[float, float]:
     """Density box (e^(-nA), e^(nA)) from the sup-norm bound A on the factor."""
@@ -82,10 +78,9 @@ class ProblemSpec:
 
     ``exponent`` is the n in rho = e^(n u); it only enters the recovery of
     the conformal factor u = log(rho) / n and the derived bounds.  The
-    operator depends only on the grid and the order, never on the density,
-    so it is kept per grid: ``stiffness`` is assembled on first use, and
-    every solve of every problem on the same grid and order shares it and
-    its cached factor.
+    operator depends only on the grid and the order, never on the density:
+    ``stiffness`` is assembled on first use, and every solve of the problem
+    shares it and its cached factor, which go with the problem.
     """
 
     grid: Grid
@@ -113,14 +108,10 @@ class ProblemSpec:
                 f"got M = {self.mass:.6g}"
             )
 
-    @property
+    @cached_property
     def stiffness(self) -> StiffnessMatrix:
-        """Order-``order`` stiffness of ``grid``, assembled once per grid and
-        order: problems on one grid, such as two masses, share it."""
-        by_order = _STIFFNESS.setdefault(self.grid, {})
-        if self.order not in by_order:
-            by_order[self.order] = assemble_stiffness(self.grid, self.order)
-        return by_order[self.order]
+        """Order-``order`` stiffness of ``grid``, assembled once per problem."""
+        return assemble_stiffness(self.grid, self.order)
 
 
 def target_high_mass(spec: ProblemSpec) -> float:

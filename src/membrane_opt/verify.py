@@ -11,7 +11,7 @@ contour table (``contours.csv``) is written by ``cli.contour_csv``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -396,22 +396,24 @@ class RegularityReport:
         return all(r <= _BOUNDED_RATIO for r in self.ratios)
 
 
-def regularity_trend(problem_at: Callable[[float], ProblemSpec],
-                     levels: Sequence[float],
+def regularity_trend(problems: Iterable[ProblemSpec],
                      opts: SolverOptions = SolverOptions(),
                      max_alternations: int = 200) -> RegularityReport:
-    """Solve the same problem at each spacing and track second differences.
+    """Solve one problem per refinement level, coarse to fine, and track
+    second differences; each level is its problem's grid spacing.
 
     The converged eigenfunction is rescaled to unit sup norm before
     differencing so levels are comparable.  Bounded growth ratios are the
     discrete signal of a Lipschitz gradient; a kink profile doubles its
-    ratio at every halving and is caught by the same machinery.
+    ratio at every halving and is caught by the same machinery.  Only the
+    ``minimize`` results are kept, so a problem that the caller no longer
+    holds, such as one from a generator, goes with its stiffness once
+    solved.
     """
-    sups = []
-    solutions = []
-    for h in levels:
-        spec = problem_at(h)
+    levels, sups, solutions = [], [], []
+    for spec in problems:
         result = minimize(spec, opts=opts, max_alternations=max_alternations)
+        levels.append(spec.grid.spacing)
         solutions.append(result)
         phi = result[1].vector / np.max(np.abs(result[1].vector))
         sups.append(pure_difference_sup(spec.grid, phi, order=2))

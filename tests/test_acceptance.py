@@ -82,7 +82,7 @@ def regularity_report():
         return mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0,
                               mass=mo.domain_volume(g))
 
-    report = mo.regularity_trend(problem_at, [1.0 / 32, 1.0 / 64, 1.0 / 128])
+    report = mo.regularity_trend(problem_at(h) for h in [1.0 / 32, 1.0 / 64, 1.0 / 128])
     return report, time.time() - start
 
 

@@ -104,6 +104,8 @@ def test_infeasible_mass_names_constraint():
      "key 'bbox': gives 3 axes, d = 2"),
     ("shape = disk\ncenter = 0,0,0\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "key 'center': needs 2 components"),
+    ("shape = annulus\ncenter = 0,0,0\nr_in = 0.5\nr_out = 1\nh = 1/8\nA = 0.5\nM = 0.7\n",
+     "key 'center': needs 2 components"),
     ("shape = annulus\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "keys 'r_in'/'r_out': required for shape annulus"),
     ("shape = dumbbell\nd = 3\nh = 1/8\nA = 0.5\nM = 0.7\n",
@@ -382,9 +384,8 @@ def test_check_subcommand_reports(tmp_path):
     assert "verdict = PASS" in symmetry
 
 
-def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
-    # configs/square.cfg with two levels: the curved run, regularity at h and
-    # h/2, and the symmetry check, which reuses the flat level-0 solution
+def _check_minimize_calls(tmp_path, monkeypatch, text):
+    """Node counts of the problems that a ``check`` run hands to ``minimize``."""
     from membrane_opt import cli, verify
 
     calls = []
@@ -397,12 +398,26 @@ def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "minimize", counted(cli.minimize))
     monkeypatch.setattr(verify, "minimize", counted(verify.minimize))
-    text = (Path(__file__).resolve().parents[1] / "configs" / "square.cfg").read_text()
-    cfg = _write_cfg(tmp_path, text + "check_levels = 2\n")
+    cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
-    assert calls == [3969, 3969, 16129]
     assert (out / "check_symmetry.txt").read_text().count("verdict = PASS") == 1
+    return calls
+
+
+def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
+    # configs/square.cfg with two levels: the curved run, regularity at h and
+    # h/2, and the symmetry check, which reuses the flat level-0 solution
+    text = (Path(__file__).resolve().parents[1] / "configs" / "square.cfg").read_text()
+    calls = _check_minimize_calls(tmp_path, monkeypatch, text + "check_levels = 2\n")
+    assert calls == [3969, 3969, 16129]
+
+
+def test_check_solves_the_curved_problem_once(tmp_path, monkeypatch):
+    # on a curved config the curved run solves the config's own problem and
+    # also serves the symmetry check; regularity solves the flat disk at h
+    # and h/2
+    assert _check_minimize_calls(tmp_path, monkeypatch, CURVED_DISK) == [193, 193, 793]
 
 
 FLAT_SQUARE_CHECK = ("shape = square\nh = 1/16\nA = 0.6931471805599453\n"
@@ -435,10 +450,10 @@ def test_report_subcommands_exit_2_when_a_run_hits_the_cap(tmp_path, subcommand,
 def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypatch, text,
                                                             nodes, builds, assemblies):
     # the config's own grid is the flat grid on a flat config and the curved
-    # one otherwise; a flat config's problem serves the conformal report and
-    # regularity level 0, and on a curved config the curved problem and the
-    # config's own share one stiffness, while the curved and flat stiffness
-    # stay separate assemblies, which the conformal report compares
+    # one otherwise, and the config's own problem is the flat or the curved
+    # problem on it; each problem assembles its stiffness once, so the curved
+    # and flat stiffness, which the conformal report compares, are one
+    # assembly each
     from membrane_opt import optimizer
 
     built, assembled = [], []
@@ -506,6 +521,19 @@ def test_symmetric_dumbbell_solves_at_default_settings(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert "status = ok" in (out / "status.txt").read_text().splitlines()
+
+
+def test_check_measures_the_mass_fraction_on_the_config_grid(tmp_path):
+    # M = 14 fits the box on the config's curved disk (weighted volume 3.96,
+    # so M <= 15.84) but not on the flat disk (volume 3.02, M <= 12.06)
+    text = ("shape = disk\nradius = 1\nh = 1/8\nlam = 0.25\nLam = 4\nM = 14.0\n"
+            "bump_amplitude = 0.3\ncheck_levels = 2\n")
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("check_conformal.txt", "check_regularity.txt", "check_symmetry.txt",
+                 "status.txt"):
+        assert (out / name).exists(), name
 
 
 def test_disk_with_background_bump_parses_and_checks(tmp_path):

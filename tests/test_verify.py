@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import membrane_opt as mo
+from membrane_opt import optimizer
 from membrane_opt.cli import contour_csv
 from membrane_opt.verify import _chain_segments, pure_difference_sup
 from shapes import Region
@@ -310,9 +312,33 @@ def test_regularity_trend_smooth_problem():
         lo, hi = mo.conformal_bounds(0.0)
         return mo.ProblemSpec(grid=g, rho_min=lo, rho_max=hi, mass=mo.domain_volume(g))
 
-    report = mo.regularity_trend(problem_at, [1.0 / 8, 1.0 / 16, 1.0 / 32])
+    report = mo.regularity_trend(problem_at(h) for h in [1.0 / 8, 1.0 / 16, 1.0 / 32])
     assert report.bounded()
     assert all(abs(r - 1.0) <= 0.2 for r in report.ratios)
+
+
+def test_regularity_trend_drops_each_level_with_its_stiffness(monkeypatch):
+    # the report keeps the solutions, not the problems, so the stiffness (and
+    # its factor) of each level goes once the level is solved
+    refs = []
+    assemble = optimizer.assemble_stiffness
+
+    def recorded(*args, **kwargs):
+        stiffness = assemble(*args, **kwargs)
+        refs.append(weakref.ref(stiffness))
+        return stiffness
+    monkeypatch.setattr(optimizer, "assemble_stiffness", recorded)
+
+    def problems():
+        for h in (1.0 / 8, 1.0 / 16):
+            g = mo.build_grid(mo.square_spec(h))
+            yield mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0,
+                                 mass=mo.domain_volume(g))
+
+    report = mo.regularity_trend(problems())
+    assert report.levels == (1.0 / 8, 1.0 / 16)
+    assert len(refs) == 2
+    assert [ref() for ref in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
