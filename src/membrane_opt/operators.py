@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .grid import Grid, neighbor_steps
 
@@ -94,9 +93,16 @@ class StiffnessMatrix:
     @cached_property
     def factor(self):
         """SuperLU factor of the matrix, built on first use and then reused
-        for every solve; None where the matrix is not ``factored``."""
+        for every solve; None where the matrix is not ``factored``.
+
+        ``scipy.sparse.linalg`` is imported here and nowhere else, so a
+        process that never factors, such as every run on the conjugate-
+        gradient path, does not load SuperLU (see README, Dependencies).
+        """
         if not self.factored:
             return None
+        from scipy.sparse.linalg import splu
+
         return splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the production solve path: the
 enumeration oracle uses a dense LAPACK generalized eigensolve, the contour
 extractor runs marching squares over all lattice cells at once from raw
-nodal values, and the connectivity and regularity checks are plain graph
-and difference computations.  ``count_components`` is the package's one
-connectivity count of node sets.  Nothing here formats artifacts; the
+nodal values, and the connectivity and regularity checks are plain numpy
+computations over the grid's neighbor table.  ``count_components`` is the
+package's one connectivity count of node sets.  ``scipy.linalg`` is
+imported only inside the oracle's dense solve, so the contour export and
+the other checks load numpy alone.  Nothing here formats artifacts; the
 contour table (``contours.csv``) is written by ``cli.contour_csv``.
 """
 
@@ -16,9 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .eigen import SolverOptions
 from .grid import Disk, Grid
@@ -73,6 +72,8 @@ class OracleResult:
 
 
 def _dense_smallest(a_dense: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    import scipy.linalg
+
     mu, vecs = scipy.linalg.eigh(a_dense, np.diag(weights))
     phi = vecs[:, 0]
     peak = int(np.argmax(np.abs(phi)))
@@ -194,28 +195,59 @@ def sublevel_check(phi: np.ndarray, partition: LevelSetPartition) -> tuple[bool,
 
 
 def _node_mask(nodes: Iterable[int] | np.ndarray, grid: Grid) -> np.ndarray:
-    """Boolean membership mask over the grid nodes of a node index set."""
-    members = np.zeros(grid.node_count, dtype=bool)
-    members[np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes),
-                       dtype=np.int64)] = True
+    """Boolean membership mask over the grid nodes of a node index set.
+
+    Raises ValueError, naming the index, on an index that is not an
+    integer or lies outside [0, node_count): numpy would otherwise wrap a
+    negative index, truncate a fractional one, or fail without saying
+    which index is wrong.
+    """
+    entries = nodes if isinstance(nodes, np.ndarray) else list(nodes)
+    index = np.asarray(entries)
+    n = grid.node_count
+    members = np.zeros(n, dtype=bool)
+    if index.size == 0:
+        return members
+    if index.dtype.kind not in "iu":
+        values = entries if isinstance(entries, list) else index.ravel().tolist()
+        bad = next((v for v in values if not isinstance(v, (int, np.integer))), values[0])
+        raise ValueError(f"node index {bad!r} is not an integer")
+    outside = (index < 0) | (index >= n)
+    if outside.any():
+        raise ValueError(f"node index {index[outside][0]} outside [0, {n})")
+    members[index] = True
     return members
 
 
 def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
-    """Connected components of a node set under the 2d-neighbor stencil graph."""
+    """Connected components of a node set under the 2d-neighbor stencil graph.
+
+    A vectorized union-find over the member pairs along the + slot of each
+    axis.  Every node starts as its own root; each round hooks the larger
+    root of every edge whose ends lie in different trees to the smaller
+    one (``np.minimum.at``), then jumps pointers (``label[label]``) until
+    every node points at its root.  Labels only decrease, so the forest
+    has no cycles, and each round that finds a split edge merges trees.
+    The count is the number of members that are their own root.
+    """
     members = _node_mask(nodes, grid)
-    # one edge per member pair along the + slot of each axis, as CSR rows in
-    # node order; csgraph adds the reverse edges of an undirected graph
     ahead = grid.neighbors[:, 1::2]
     edge = (ahead >= 0) & members[:, None]
     edge[edge] = members[ahead[edge]]
-    n = members.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
-    indices = ahead[edge].astype(np.int32)
-    graph = sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
-    labels = connected_components(graph, directed=False)[1]
-    return int(np.unique(labels[members]).size)
+    tail = np.nonzero(edge)[0]
+    head = ahead[edge]
+    label = np.arange(members.shape[0])
+    while True:
+        a, b = label[tail], label[head]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return int(np.count_nonzero(label[members] == np.flatnonzero(members)))
 
 
 # ---------------------------------------------------------------------------

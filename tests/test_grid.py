@@ -228,9 +228,15 @@ def _check_against_reference(g, member_flags):
                 mo.mirror_permutation(g, axis)
         else:
             assert mo.mirror_permutation(g, axis).tolist() == list(image.values())
-    members = np.flatnonzero(member_flags[:g.node_count])
-    assert mo.count_components(members, g) == \
-        _reference_components({nodes[i] for i in members})
+    _components_match_reference(g, member_flags[:g.node_count])
+
+
+def _components_match_reference(g, member_flags):
+    """count_components of the flagged nodes, asserted equal to the BFS count."""
+    members = np.flatnonzero(member_flags)
+    count = mo.count_components(members, g)
+    assert count == _reference_components({tuple(p) for p in g.nodes[members].tolist()})
+    return count
 
 
 @given(st.lists(st.booleans(), min_size=25, max_size=25),
@@ -255,6 +261,47 @@ def test_lattice_matches_reference_on_boxes(dimension, data):
     flags = data.draw(st.lists(st.booleans(), min_size=g.node_count,
                                max_size=g.node_count))
     _check_against_reference(g, np.asarray(flags, dtype=bool))
+
+
+# count_components against the BFS reference on paths thousands of nodes
+# long, on many singletons and on random masks past two dimensions
+
+_SIDE = 127  # interior nodes per axis of the unit square at h = 1/128
+
+
+def _serpentine(i, j):
+    # odd rows in full, joined at alternating ends by one node of each even row
+    return (i % 2 == 1) | ((i % 4 == 2) & (j == _SIDE)) | ((i % 4 == 0) & (j == 1))
+
+
+def _spiral(i, j):
+    # the even Chebyshev rings from the border, each cut one node below its
+    # top-left corner; the node right of that cut, on the odd ring inside,
+    # bridges to the next even ring
+    ring = np.minimum(np.minimum(i - 1, j - 1), np.minimum(_SIDE - i, _SIDE - j))
+    return (ring % 2 == 0) != ((i == ring + 2) & (j == ring + 1))
+
+
+@pytest.mark.parametrize("path", [_serpentine, _spiral])
+def test_count_components_follows_a_path_thousands_of_nodes_long(path):
+    g = mo.build_grid(mo.square_spec(1.0 / (_SIDE + 1)))
+    flags = path(g.nodes[:, 0], g.nodes[:, 1])
+    assert np.count_nonzero(flags) > 8000
+    assert _components_match_reference(g, flags) == 1
+
+
+def test_count_components_of_a_checkerboard_counts_singletons():
+    g = mo.build_grid(mo.square_spec(1.0 / 65))
+    flags = g.nodes.sum(axis=1) % 2 == 0
+    assert _components_match_reference(g, flags) == g.node_count // 2 == 2048
+
+
+@pytest.mark.parametrize("dimension, side", [(3, 12), (4, 7)])
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.7])
+def test_count_components_on_random_box_masks(dimension, side, share):
+    g = mo.build_grid(mo.square_spec(1.0, side=float(side + 1), dimension=dimension))
+    flags = np.random.default_rng(side).random(g.node_count) < share
+    assert _components_match_reference(g, flags) >= 1
 
 
 def test_mirror_permutation_rejects_asymmetric_mask():

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import weakref
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_count_components_order_invariant():
     nodes = np.arange(g.node_count)
     rng = np.random.default_rng(3)
     assert mo.count_components(rng.permutation(nodes), g) == \
+        mo.count_components(nodes, g)
+
+
+@pytest.mark.parametrize("nodes, named", [
+    ([-1], "-1"), ([0, -9], "-9"), ([0.7], "0.7"), ([9], "9"),
+    (np.array([2.0]), "2.0"),
+])
+def test_count_components_rejects_bad_node_indices(nodes, named):
+    # numpy would count node 8 for -1, wrap -9 to node 0, truncate 0.7 to
+    # node 0 and fail on 9 without naming it
+    g = _grid_n(3)
+    with pytest.raises(ValueError, match=f"^node index {re.escape(named)} "):
         mo.count_components(nodes, g)
 
 
