@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -202,6 +203,14 @@ class RunConfig:
             f"rho_min={self.problem.rho_min!r} rho_max={self.problem.rho_max!r} M={self.problem.mass!r} p={self.problem.order}",
         ]
 
+    @cached_property
+    def _check_twin(self) -> ProblemSpec:
+        """The problem of ``check``'s conformal report on the other grid, the
+        curved copy of a flat grid or the flat copy of a curved one."""
+        bump = (self.raw["bump_amplitude"] or _CHECK_BUMP) if self.grid.flat else 0.0
+        flat_spec = replace(self.grid.spec, background=None)
+        return _at_fraction(self.problem, build_grid(_with_bump(flat_spec, bump)))
+
     def trace_header(self) -> dict:
         """Header fields of ``trace.txt``, complete or partial."""
         return {
@@ -253,8 +262,6 @@ def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
     half the shortest side."""
     if amplitude == 0.0:
         return spec
-    if spec.dimension != 2:
-        raise ConfigError(f"key 'bump_amplitude': needs d = 2, got d = {spec.dimension}")
     if isinstance(spec.shape, Disk):
         center, radius = spec.shape.center, spec.shape.radius
     elif isinstance(spec.shape, Rectangle):
@@ -264,6 +271,23 @@ def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
         raise ConfigError("key 'bump_amplitude': not supported on "
                           f"{type(spec.shape).__name__.lower()}")
     return replace(spec, background=_smooth_bump(np.asarray(center), radius, amplitude))
+
+
+def _problem(grid: Grid, **settings) -> ProblemSpec:
+    """``ProblemSpec`` on ``grid``; a rejection names the bump or the mass."""
+    try:
+        return ProblemSpec(grid=grid, **settings)
+    except ValueError as exc:
+        key = "bump_amplitude" if "background" in str(exc) else "M"
+        raise ConfigError(f"key '{key}': {exc}") from exc
+
+
+def _at_fraction(problem: ProblemSpec, grid: Grid) -> ProblemSpec:
+    """``problem``'s box, order and exponent on ``grid``, at its mass fraction."""
+    fraction = problem.mass / domain_volume(problem.grid)
+    return _problem(grid, rho_min=problem.rho_min, rho_max=problem.rho_max,
+                    mass=fraction * domain_volume(grid), order=problem.order,
+                    exponent=problem.exponent)
 
 
 def parse_config(text: str, subcommand: str | None = None,
@@ -328,9 +352,6 @@ def parse_config(text: str, subcommand: str | None = None,
     n = values["n"]
     if n < 2:
         raise ConfigError(f"key 'n': exponent must be >= 2, got {n}")
-    if p == 4 and values["bump_amplitude"] != 0.0:
-        raise ConfigError("key 'bump_amplitude': order 4 needs a flat background "
-                          f"(w = 0), got amplitude {values['bump_amplitude']!r}")
 
     try:
         flat_spec = _build_grid_spec(values)
@@ -339,12 +360,6 @@ def parse_config(text: str, subcommand: str | None = None,
         raise
     except ValueError as exc:
         raise ConfigError(f"grid construction failed: {exc}") from exc
-    if sub == "check":
-        # the conformal-invariance report reruns the problem on a curved copy
-        try:
-            _with_bump(flat_spec, values["bump_amplitude"] or _CHECK_BUMP)
-        except ConfigError as exc:
-            raise ConfigError(f"check needs a curved background: {exc}") from exc
 
     if bound_exponent is not None:
         try:
@@ -356,11 +371,8 @@ def parse_config(text: str, subcommand: str | None = None,
                           f"got ({lam}, {big_lam})")
     values.update(rho_min=lam, rho_max=big_lam)
 
-    try:
-        problem = ProblemSpec(grid=grid, rho_min=lam, rho_max=big_lam,
-                              mass=values["M"], order=p, exponent=n)
-    except ValueError as exc:
-        raise ConfigError(f"key 'M': {exc}") from exc
+    problem = _problem(grid, rho_min=lam, rho_max=big_lam, mass=values["M"],
+                       order=p, exponent=n)
 
     solver = SolverOptions()
     for key, name in (("eig_tol", "eig_rel_tol"), ("max_power_iterations", "max_iterations")):
@@ -382,7 +394,13 @@ def parse_config(text: str, subcommand: str | None = None,
             raise ConfigError(str(exc)) from exc
 
     settings = {f.name: values[f.name] for f in fields(RunConfig) if f.name in values}
-    return RunConfig(problem=problem, solver=solver, raw=values, **settings)
+    config = RunConfig(problem=problem, solver=solver, raw=values, **settings)
+    if sub == "check":
+        try:
+            config._check_twin  # built now, so that it fails before any output
+        except ValueError as exc:
+            raise ConfigError(f"check needs a curved background: {exc}") from exc
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +450,7 @@ def eigenfunction_csv(stream, phi: np.ndarray, header_lines) -> None:
 
 
 def grid_csv(stream, grid: Grid, header_lines=()) -> None:
-    """One row per node: integer coords, physical coords, e^(2w)."""
+    """One row per node: integer coords, physical coords, e^(dw) as ``e2w``."""
     axes = range(grid.dimension)
     names = [f"i{k}" for k in axes] + [f"x{k}" for k in axes] + ["e2w"]
     _table(stream, header_lines, names, *grid.nodes.T, *grid.coordinates().T, grid.e2w)
@@ -607,36 +625,19 @@ def _run_check(config: RunConfig, out: Path) -> int:
     problem = config.problem
 
     # conformal invariance: bump background against its flat reweighting; the
-    # config's own grid serves as the flat grid on a flat config and as the
-    # curved one otherwise
+    # config's own problem serves as the flat one on a flat config and as the
+    # curved one otherwise, and the flat one also as regularity level 0
     amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
     flat_spec = replace(config.grid.spec, background=None)
-    if config.grid.flat:
-        flat, curved = config.grid, build_grid(_with_bump(flat_spec, amplitude))
-    else:
-        flat, curved = build_grid(flat_spec), config.grid
+    twin = config._check_twin
+    flat_problem, curved_problem = (problem, twin) if config.grid.flat else (twin, problem)
+    flat, curved = flat_problem.grid, curved_problem.grid
     # measured on the config's own grid, lam <= fraction <= Lam, so every
-    # problem below is feasible
+    # problem here is feasible
     fraction = problem.mass / domain_volume(config.grid)
-
-    def problem_on(grid: Grid) -> ProblemSpec:
-        """The config's problem on its own grid, elsewhere the composite
-        problem at the config's mass fraction."""
-        if grid is config.grid:
-            return problem
-        return ProblemSpec(grid=grid, rho_min=problem.rho_min, rho_max=problem.rho_max,
-                           mass=fraction * domain_volume(grid), order=problem.order,
-                           exponent=problem.exponent)
-
-    # the flat problem also serves as regularity level 0
-    flat_problem, curved_problem = problem_on(flat), problem_on(curved)
-    a_curved = curved_problem.stiffness
-    a_flat = flat_problem.stiffness
-    bit_identical = (
-        np.array_equal(a_curved.matrix.indptr, a_flat.matrix.indptr)
-        and np.array_equal(a_curved.matrix.indices, a_flat.matrix.indices)
-        and np.array_equal(a_curved.matrix.data, a_flat.matrix.data)
-    )
+    a_curved, a_flat = curved_problem.stiffness, flat_problem.stiffness
+    bit_identical = all(np.array_equal(getattr(a_curved.matrix, k), getattr(a_flat.matrix, k))
+                        for k in ("indptr", "indices", "data"))
 
     rho_uniform = np.full(curved.node_count, fraction)
     w_curved = assemble_weight(curved, rho_uniform)
@@ -665,7 +666,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
 
     # regularity: the flat composite problem at h, h/2, ...; each finer
     # problem is built when its level is solved and dropped after it
-    finer = (problem_on(build_grid(replace(flat_spec, spacing=flat.spacing / 2**k)))
+    finer = (_at_fraction(problem, build_grid(replace(flat_spec, spacing=flat.spacing / 2**k)))
              for k in range(1, config.check_levels))
     report = regularity_trend(chain([flat_problem], finer), opts=config.solver,
                               max_alternations=config.max_alternations)

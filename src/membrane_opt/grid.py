@@ -16,11 +16,11 @@ shape is any object with a vectorized ``contains(points)`` that maps the
 grid may be disconnected (a thin annulus can split); the weighted
 eigenproblem is well posed on it all the same, and
 ``verify.count_components`` counts the pieces of any node set.  Each node
-optionally carries a background weight ``e^(2w)``: the exponent field
-``w`` maps the (N, d) array of node centers to an (N,) float array, and
-the measure of a node is then ``e^(2w) * h^d``.  Away from two dimensions
-the background must be flat (``w = 0``): the second-order stiffness
-stencil is weight-free only in 2D.  The node table artifact is written by
+optionally carries a background weight ``e^(dw)``, stored as ``Grid.e2w``:
+the exponent field ``w`` maps the (N, d) array of node centers to an (N,)
+float array, and the measure of a node is then ``e^(dw) * h^d``.  A
+problem on a curved grid needs operator order p = d (see
+``optimizer.ProblemSpec``).  The node table artifact is written by
 ``cli.grid_csv``.
 """
 
@@ -254,7 +254,7 @@ class Grid:
 
     @property
     def cell_volumes(self) -> np.ndarray:
-        """Per-node measure e^(2w) h^d."""
+        """Per-node measure e^(dw) h^d."""
         return self.e2w * self.spacing**self.dimension
 
     @property
@@ -297,7 +297,7 @@ def build_grid(spec: GridSpec) -> Grid:
     Interior nodes are exactly the lattice points whose center satisfies
     the shape predicate and which do not lie on the lattice boundary of
     the bounding box.  Raises on an empty interior and on a background
-    weight e^(2w) that overflows or underflows.
+    weight e^(dw) that overflows or underflows.
     """
     d, h = spec.dimension, spec.spacing
     cells = []
@@ -324,10 +324,6 @@ def build_grid(spec: GridSpec) -> Grid:
         neighbors[:, slot] = lattice[tuple((node_arr + step).T + 1)]
 
     if spec.background is not None:
-        if d != 2:
-            raise ValueError(
-                "flat background required for dimension != 2 (w must be omitted)"
-            )
         w = np.asarray(spec.background(origin + node_arr * h), dtype=float)
         if w.shape != (n,):
             raise ValueError(
@@ -336,10 +332,10 @@ def build_grid(spec: GridSpec) -> Grid:
         if not np.all(np.isfinite(w)):
             raise ValueError("background exponent field evaluates non-finite")
         with np.errstate(over="ignore", under="ignore"):
-            e2w = np.exp(2.0 * w)
+            e2w = np.exp(d * w)
         if np.any(np.isinf(e2w) | (e2w == 0.0)):
             raise ValueError(
-                "background weight e^(2w) overflows or underflows for w in "
+                f"background weight e^({d}w) overflows or underflows for w in "
                 f"[{float(np.min(w))!r}, {float(np.max(w))!r}]"
             )
     else:
@@ -358,7 +354,7 @@ def build_grid(spec: GridSpec) -> Grid:
 
 
 def domain_volume(grid: Grid) -> float:
-    """Background-measured volume sum(e^(2w) h^d); equals N h^d when flat."""
+    """Background-measured volume sum(e^(dw) h^d); equals N h^d when flat."""
     return float(np.sum(grid.cell_volumes))
 
 

@@ -205,11 +205,9 @@ def _bilaplacian(grid: Grid) -> sp.csr_matrix:
 
 def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     """Assemble the stencil matrix of a grid: order 2 (Dirichlet Laplacian)
-    or 4 (clamped bilaplacian)."""
+    or 4 (clamped bilaplacian).  The background weight is never read."""
     if order not in (2, 4):
         raise ValueError(f"operator order must be 2 or 4, got {order}")
-    if order == 4 and not grid.flat:
-        raise ValueError("flat background required for GJMS case (order 4 needs w = 0)")
     mat = _laplacian_interior(grid) if order == 2 else _bilaplacian(grid)
     mat.data *= grid.spacing ** float(-order)
     mat.sort_indices()
@@ -221,7 +219,7 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
 
 
 def assemble_weight(grid: Grid, rho: np.ndarray) -> np.ndarray:
-    """Diagonal weight sigma_i = rho_i e^(2w_i) of the generalized
+    """Diagonal weight sigma_i = rho_i e^(d w_i) of the generalized
     eigenproblem, from the per-node density array; rejects nonpositive
     density."""
     values = np.asarray(rho, dtype=float)

@@ -76,6 +76,8 @@ def conformal_bounds(bound_exponent: float, exponent: int = 2) -> tuple[float, f
 class ProblemSpec:
     """Grid, density box, prescribed mass, and operator order.
 
+    A curved grid needs order p = dimension d: that operator is conformally
+    covariant (2D Laplacian, 4D Paneitz) and the class weight is rho e^(dw).
     ``exponent`` is the n in rho = e^(n u); it only enters the recovery of
     the conformal factor u = log(rho) / n and the derived bounds.  The
     operator depends only on the grid and the order, never on the density:
@@ -97,6 +99,9 @@ class ProblemSpec:
             )
         if self.order not in (2, 4):
             raise ValueError(f"operator order must be 2 or 4, got {self.order}")
+        if self.order != self.grid.dimension and not self.grid.flat:
+            raise ValueError("a curved background needs operator order p = d, "
+                             f"got p = {self.order} in d = {self.grid.dimension}")
         if not math.isfinite(self.mass):
             raise ValueError(f"mass must be finite, got M = {self.mass}")
         vol = domain_volume(self.grid)
@@ -138,7 +143,7 @@ def target_high_mass(spec: ProblemSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityField:
-    """Per-node density with its grid; mass is measured against e^(2w) h^d."""
+    """Per-node density with its grid; mass is measured against e^(dw) h^d."""
 
     grid: Grid
     values: np.ndarray
@@ -248,7 +253,7 @@ def _split(phi: np.ndarray, spec: ProblemSpec) -> _Split:
 
 def bathtub_rearrange(phi: np.ndarray,
                       spec: ProblemSpec) -> tuple[DensityField, LevelSetPartition]:
-    """Mass-constrained box maximizer of sum(phi^2 rho e^(2w) h^d) on the
+    """Mass-constrained box maximizer of sum(phi^2 rho e^(dw) h^d) on the
     grid of ``spec``.
 
     Nodes ranked by (phi^2, node index) descending receive the upper bound

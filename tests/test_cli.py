@@ -81,9 +81,11 @@ def test_infeasible_mass_names_constraint():
     ("shape = rectangle\nbbox = 0,1,-inf,1\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "grid construction failed: .* not finite"),
     ("shape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\np = 4\n"
-     "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
+     "bump_amplitude = 0.3\n", "key 'bump_amplitude': a curved background needs "
+     "operator order p = d, got p = 4 in d = 2"),
     ("subcommand = plate\nshape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
-     "bump_amplitude = 0.3\n", "key 'bump_amplitude': order 4 needs a flat background"),
+     "bump_amplitude = 0.3\n", "key 'bump_amplitude': a curved background needs "
+     "operator order p = d, got p = 4 in d = 2"),
     ("shape = square\nh = 1/8\nlam = 0\nLam = 2\nM = 0.7\n",
      "keys 'lam'/'Lam': need 0 < lam <= Lam < inf"),
     ("shape = square\nh = 1/8\nlam = -1\nLam = 2\nM = 0.7\n",
@@ -266,10 +268,13 @@ def test_oracle_input_errors_exit_1_without_output(tmp_path, capsys, text, match
     ("shape = dumbbell\nh = 1/16\nA = 0.69\nM = 1.5\n", "not supported on dumbbell"),
     ("shape = annulus\nr_in = 0.5\nr_out = 1\nh = 1/8\nA = 0.69\nM = 2\n",
      "not supported on annulus"),
-    ("shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n", "needs d = 2, got d = 3"),
+    ("shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n",
+     "check needs a curved background: key 'bump_amplitude': a curved background "
+     "needs operator order p = d, got p = 2 in d = 3"),
 ])
 def test_check_input_errors_exit_1_without_output(tmp_path, capsys, text, match):
-    # the conformal report of check needs a curved copy of the grid
+    # the conformal report of check needs a curved copy of the problem, which
+    # its order 2 allows only in 2D
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 1
@@ -672,15 +677,17 @@ def test_readme_key_table_lists_every_config_key():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("amplitude, mass", [(400, 3), (-400, 0.3)],
-                         ids=["overflow", "underflow"])
-def test_extreme_background_weight_exits_1_without_output(tmp_path, capsys,
-                                                          amplitude, mass):
-    # e^(2w) is inf or 0 in double precision at w = +-400
-    cfg = _write_cfg(tmp_path, "shape = disk\nh = 1/8\nlam = 0.5\nLam = 2\n"
+@pytest.mark.parametrize("subcommand, lines, amplitude, mass", [
+    ("solve", "", 400, 3), ("solve", "", -400, 0.3), ("plate", "d = 4\n", 200, 8),
+], ids=["overflow", "underflow", "overflow-4d"])
+def test_extreme_background_weight_exits_1_without_output(tmp_path, capsys, subcommand,
+                                                          lines, amplitude, mass):
+    # e^(dw) is inf or 0 in double precision at w = +-400 in 2D, and at w = 200
+    # in 4D, where e^(2w) would still be finite
+    cfg = _write_cfg(tmp_path, f"shape = disk\n{lines}h = 1/8\nlam = 0.5\nLam = 2\n"
                                f"M = {mass}\nbump_amplitude = {amplitude}\n")
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: grid construction failed: background weight")
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -713,27 +720,55 @@ def test_curved_order_4_exits_1_without_output(tmp_path, capsys, subcommand, ord
     out = tmp_path / "out"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: key 'bump_amplitude': order 4 needs a flat background")
+    assert err.startswith("error: key 'bump_amplitude': a curved background needs "
+                          "operator order p = d, got p = 4 in d = 2")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
-def _per_point_bump_e2w(grid, center, radius, amplitude):
-    """e^(2w) of the mollifier bump, one ``math.exp`` per node center."""
+@pytest.mark.parametrize("d", [3, 4])
+def test_curved_order_2_off_2d_exits_1_without_output(tmp_path, capsys, d):
+    cfg = _write_cfg(tmp_path, f"shape = disk\nd = {d}\nh = 1/4\nlam = 0.5\nLam = 2\n"
+                               "M = 3\nbump_amplitude = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: key 'bump_amplitude': a curved background needs "
+                   f"operator order p = d, got p = 2 in d = {d}\n")
+    assert not out.exists()
+
+
+def test_curved_plate_in_4d_byte_reproduces(tmp_path):
+    # the Paneitz class problem: order 4 on a curved 4-ball, weight rho e^(4w)
+    cfg = _write_cfg(tmp_path, "shape = disk\nd = 4\nh = 1/4\nlam = 0.5\nLam = 2\n"
+                               "M = 8\nbump_amplitude = 0.5\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["plate", "--config", cfg, "--out", str(out)]) == 0
+    assert "status = ok" in (outs[0] / "status.txt").read_text()
+    for path in sorted(outs[0].iterdir()):
+        assert path.read_bytes() == (outs[1] / path.name).read_bytes(), path.name
+
+
+def _per_point_bump_e2w(grid, center, radius, amplitude, d):
+    """e^(dw) of the mollifier bump, one ``math.exp`` per node center."""
     w = []
     for point in grid.coordinates():
         s2 = float(np.sum((point - np.asarray(center)) ** 2)) / radius**2
         w.append(amplitude * math.exp(1.0 - 1.0 / (1.0 - s2)) if s2 < 1.0 else 0.0)
-    return np.exp(2.0 * np.array(w))
+    return np.exp(d * np.array(w))
 
 
-@pytest.mark.parametrize("shape, center, radius", [
-    ("shape = disk\ncenter = 0.1,-0.2\nradius = 0.9", (0.1, -0.2), 0.9),
-    ("shape = rectangle\nbbox = 0,1.5,0,1", (0.75, 0.5), 0.5),
-], ids=["disk", "rectangle"])
-def test_bump_weights_match_per_point_reference_bitwise(shape, center, radius):
-    rc = parse_config(f"{shape}\nh = 1/16\nlam = 0.5\nLam = 2\nM = 2.0\n"
-                      "bump_amplitude = 0.3\n")
+@pytest.mark.parametrize("shape, center, radius, d", [
+    ("shape = disk\ncenter = 0.1,-0.2\nradius = 0.9\nh = 1/16\nM = 2.0",
+     (0.1, -0.2), 0.9, 2),
+    ("shape = rectangle\nbbox = 0,1.5,0,1\nh = 1/16\nM = 2.0", (0.75, 0.5), 0.5, 2),
+    ("shape = disk\nd = 4\np = 4\ncenter = 0.1,-0.2,0,0.05\nradius = 0.9\nh = 1/5\nM = 4.0",
+     (0.1, -0.2, 0.0, 0.05), 0.9, 4),
+], ids=["disk", "rectangle", "disk-4d"])
+def test_bump_weights_match_per_point_reference_bitwise(shape, center, radius, d):
+    rc = parse_config(f"{shape}\nlam = 0.5\nLam = 2\nbump_amplitude = 0.3\n")
+    assert rc.grid.dimension == d
     assert np.count_nonzero(rc.grid.e2w != 1.0) > 0.5 * rc.grid.node_count
     assert rc.grid.e2w.tobytes() == \
-        _per_point_bump_e2w(rc.grid, center, radius, 0.3).tobytes()
+        _per_point_bump_e2w(rc.grid, center, radius, 0.3, d).tobytes()

@@ -126,9 +126,14 @@ def test_background_of_wrong_shape_rejected(background):
 
 
 def test_background_rejected_off_2d():
+    # a 3D grid is measured by e^(3w), but no operator order equals 3, so no
+    # problem on it may be curved
     spec = mo.square_spec(0.25, dimension=3, background=lambda p: np.full(len(p), 0.1))
-    with pytest.raises(ValueError, match="flat background"):
-        mo.build_grid(spec)
+    g = mo.build_grid(spec)
+    assert g.e2w.tobytes() == np.exp(3 * np.full(27, 0.1)).tobytes()
+    for order in (2, 4):
+        with pytest.raises(ValueError, match=f"p = d, got p = {order} in d = 3"):
+            mo.ProblemSpec(g, 1.0, 1.0, mo.domain_volume(g), order=order)
 
 
 def test_four_dimensional_rectangle():
