@@ -396,6 +396,11 @@ def parse_config(text: str, subcommand: str | None = None,
     settings = {f.name: values[f.name] for f in fields(RunConfig) if f.name in values}
     config = RunConfig(problem=problem, solver=solver, raw=values, **settings)
     if sub == "check":
+        if values["bump_amplitude"] != 0.0 and grid.flat:
+            # the curved twin would take the same amplitude, flat too, and the
+            # conformal report would compare the flat grid with itself
+            raise ConfigError(f"key 'bump_amplitude': {values['bump_amplitude']!r} "
+                              "leaves every node weight e^(dw) at 1.0")
         try:
             config._check_twin  # built now, so that it fails before any output
         except ValueError as exc:

@@ -6,10 +6,11 @@ of the stiffness (2D grids up to ``FACTOR_MAX_NODES`` nodes, see
 ``StiffnessMatrix.factored``), and plain conjugate gradients for every
 other grid, to a relative tolerance that the eigensolve takes from the
 operator's order (``_CG_REL_TOL``).  Every matrix-vector product
-of the conjugate-gradient path, in ``solve_spd`` and in the power step,
-takes the matrix's diagonal (DIA) copy where the grid fills its lattice
-(see ``StiffnessMatrix``) and its CSR form elsewhere; the two give the
-same bits.  With a factor, the outer loop
+takes the matrix's one stored form, ``StiffnessMatrix.stored``: diagonal
+(DIA) storage on the conjugate-gradient path where the grid fills its
+lattice, CSR elsewhere; the two give the same bits, and the eigensolve
+never asks for a CSR copy of a matrix stored by diagonals.  With a
+factor, the outer loop
 is LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2):517-541, 2001) on a block
 of ``BLOCK_WIDTH`` vectors with the factor as an exact preconditioner,
 deepened by ``KRYLOV_DEPTH`` Krylov levels: each step solves with the
@@ -161,12 +162,6 @@ class EigenPair:
     iterations: int
 
 
-def _matrix(A: StiffnessMatrix):
-    """The storage that vector products with A use: its diagonal copy where
-    it has one, else its CSR matrix."""
-    return A.matrix if A.diagonals is None else A.diagonals
-
-
 def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
               x0: np.ndarray | None = None) -> np.ndarray:
     """Solve A x = b for the SPD stiffness A.
@@ -203,7 +198,7 @@ def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
     if norm_b == 0.0:
         return np.zeros_like(b)
 
-    mat = _matrix(A)
+    mat = A.stored
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -292,7 +287,7 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
     test that is true once the bathtub split of the iterates is decided
     (``optimizer._split_decided``).
     """
-    mat = _matrix(A)
+    mat = A.stored
     n = mat.shape[0]
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):

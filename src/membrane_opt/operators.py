@@ -14,15 +14,17 @@ coincide.
 Assembly happens in integer stencil units and is scaled by h^(-p) in
 place at the end.  All intermediate arithmetic is exact in double
 precision, so the matrix is symmetric entry-for-entry and independent,
-bit for bit, of the background weight field.  On a grid that fills its
-lattice every stencil offset is a constant diagonal, and the conjugate-
-gradient path also gets the matrix in diagonal storage (see
-``StiffnessMatrix``).
+bit for bit, of the background weight field.  A grid that fills its
+lattice and is not factored takes none of the CSR assembly: there every
+stencil move is a constant diagonal, and ``_lattice_diagonals`` writes
+the same integers straight into diagonal (DIA) storage, which is the
+matrix's only stored copy (see ``StiffnessMatrix``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,8 +39,27 @@ __all__ = [
     "assemble_weight",
 ]
 
-# largest 2D grid whose stiffness is factored; see StiffnessMatrix.factored
+# largest 2D grid whose stiffness is factored; see _factored
 FACTOR_MAX_NODES = 16384
+
+
+def _factored(dimension: int, node_count: int) -> bool:
+    """Whether the stiffness of a grid is factored (sparse LU) rather than
+    solved with conjugate gradients; decided before assembly, since it also
+    picks the stored form (see ``StiffnessMatrix``).
+
+    Two-dimensional grids up to FACTOR_MAX_NODES nodes are factored;
+    everywhere else fill-in costs more than conjugate gradients save.
+    Measured with the minimum-degree ordering used by
+    ``StiffnessMatrix.factor``:
+
+    - disk h=1/64 (12849 nodes): 0.52M fill entries (5.9 MB), under
+      0.05 s to factor;
+    - disk h=1/128 (51429 nodes): 2.7M fill entries, peak RSS grows by
+      52 MB on a 92 MB process;
+    - 4D clamped plate h=1/10 (6561 nodes): 6.3 s and 429 MB to factor.
+    """
+    return dimension == 2 and node_count <= FACTOR_MAX_NODES
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,47 +69,48 @@ class StiffnessMatrix:
     ``order`` is the p that ``assemble_stiffness`` was given: 2 for the
     Dirichlet Laplacian, 4 for the clamped bilaplacian.  The eigensolve
     reads its conjugate-gradient tolerance from it (see ``eigen``).
-    ``diagonals`` is the same matrix in diagonal (DIA) storage, offsets
-    ascending, or None.  ``assemble_stiffness`` builds it for the matrices
-    that are not ``factored`` and whose grid fills its lattice
-    (``Grid.fills_lattice``: boxes in any dimension), where every stencil
-    offset is a constant index offset: 3 diagonals in 1D up to 41 for the
-    4D bilaplacian.  It costs ``len(offsets) * n`` doubles next to the CSR
-    matrix, 2.05 MiB for the 4D clamped plate at h=1/10 (6561 nodes, 41
-    diagonals).  Each DIA row sums its products in ascending column order,
-    as a CSR row with sorted indices does, and its padding slots add only
-    zeros, so every product is bit-identical to the CSR one.  On a 2-vCPU
-    Intel Xeon a product costs 204 against 247 us for that plate, 268
-    against 363 us for the p=4 square at h=1/160 (13 diagonals) and 256
-    against 325 us for the p=2 square at h=1/256 (5 diagonals).  Masked
-    grids keep CSR alone: the h=1/128 disk would need 195 diagonals, most
-    of them padding.
+    ``stored`` is the one stored form of the matrix, and every product of
+    the eigensolve takes it.  On a grid that fills its lattice
+    (``Grid.fills_lattice``: boxes in any dimension) and is not
+    ``factored``, every stencil offset is a constant index offset, and the
+    matrix is stored by diagonals (DIA), offsets ascending: 3 diagonals in
+    1D up to 41 for the 4D bilaplacian, ``len(offsets) * n`` doubles, 2.05
+    MiB for the 4D clamped plate at h=1/10 (6561 nodes).  Each DIA row sums
+    its products in ascending column order, as a CSR row with sorted
+    indices does, and its padding slots add only zeros, so every product
+    is bit-identical to the CSR one.  On a 2-vCPU Intel Xeon a product
+    costs 204 against 247 us for that plate, 268 against 363 us for the
+    p=4 square at h=1/160 (13 diagonals) and 256 against 325 us for the
+    p=2 square at h=1/256 (5 diagonals).  Everywhere else it is CSR with
+    sorted indices: the factor needs it, and the h=1/128 disk would need
+    195 diagonals, most of them padding.
     """
 
-    matrix: sp.csr_matrix
+    stored: sp.csr_matrix | sp.dia_array
     dimension: int
     order: int
-    diagonals: sp.dia_array | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.stored.shape
 
     @property
     def factored(self) -> bool:
-        """Whether linear solves use a sparse LU factor rather than CG.
+        """Whether linear solves use a sparse LU factor rather than CG (see
+        ``_factored``)."""
+        return _factored(self.dimension, self.shape[0])
 
-        Two-dimensional grids up to FACTOR_MAX_NODES nodes are factored;
-        everywhere else fill-in costs more than conjugate gradients save.
-        Measured with the minimum-degree ordering used by ``factor``:
-
-        - disk h=1/64 (12849 nodes): 0.52M fill entries (5.9 MB), under
-          0.05 s to factor;
-        - disk h=1/128 (51429 nodes): 2.7M fill entries, peak RSS grows by
-          52 MB on a 92 MB process;
-        - 4D clamped plate h=1/10 (6561 nodes): 6.3 s and 429 MB to factor.
-        """
-        return self.dimension == 2 and self.shape[0] <= FACTOR_MAX_NODES
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The matrix in CSR form with sorted indices, read-only: the stored
+        form, or the diagonals converted on first use.  Nothing on the
+        eigensolve's path asks for it where the matrix is stored by
+        diagonals, so a run there never builds it."""
+        if not isinstance(self.stored, sp.dia_array):
+            return self.stored
+        mat = sp.csr_matrix(self.stored.tocsr())
+        mat.data.setflags(write=False)
+        return mat
 
     @cached_property
     def factor(self):
@@ -107,34 +129,71 @@ class StiffnessMatrix:
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _row_slots(mat: sp.csr_matrix):
-    """For k = 0, 1, ...: the rows that store a k-th entry, and the
-    position of that entry in ``mat.indices``."""
-    lengths = np.diff(mat.indptr)
-    for k in range(int(lengths.max(initial=0))):
-        rows = np.flatnonzero(lengths > k)
-        yield rows, mat.indptr[rows] + k
+def _lattice_diagonals(grid: Grid, order: int) -> sp.dia_array:
+    """The stiffness of a grid that fills its lattice, written straight
+    into diagonal storage with ascending offsets.
 
+    A stencil move (a lattice step) is one constant index offset on a box,
+    and it lands inside the box exactly where every coordinate it changes
+    stays within 1..(nodes along that axis).  Order 2 writes the moves of
+    the Laplacian stencil L (2d at the node, -1 at each neighbor).  Order 4
+    writes L^2 as move pairs: the pair (s, t) adds the product of the
+    coefficients of s and t at every node i where i + s and i + s + t are
+    nodes, and the mirror rule of ``_bilaplacian`` adds 2 on the diagonal
+    for each missing neighbor slot, since on a box the wall point behind
+    such a slot touches only that node.  Every entry is an exact sum of
+    integers, the same as the CSR assembly's, and the array is scaled by
+    h^(-p) once.  As scipy's DIA layout has it, the entry (j - o, j) of the
+    diagonal at offset o sits in column j of that diagonal's data row;
+    padding slots hold zero.
+    """
+    n, d = grid.node_count, grid.dimension
+    sizes = [c - 1 for c in grid.lattice_cells]
+    strides = np.array([math.prod(sizes[a + 1:]) for a in range(d)])
 
-def _diagonal_storage(mat: sp.csr_matrix) -> sp.dia_array:
-    """``mat`` in diagonal storage with ascending offsets, built from its
-    CSR indices one entry slot of every row at a time, so that the build
-    takes O(n) scratch memory beside the result.  As scipy's DIA layout
-    has it, the entry (j - o, j) of the diagonal at offset o sits in
-    column j of that diagonal's data row."""
-    n = mat.shape[0]
-    # the offsets j - i that hold an entry, marked over -(n-1)..n-1, and the
-    # row of the data array that each of them takes
-    present = np.zeros(2 * n - 1, dtype=bool)
-    for rows, at in _row_slots(mat):
-        present[mat.indices[at] - rows + (n - 1)] = True
-    diagonal_of = np.cumsum(present) - 1
-    data = np.zeros((diagonal_of[-1] + 1, n))
-    for rows, at in _row_slots(mat):
-        cols = mat.indices[at]
-        data[diagonal_of[cols - rows + (n - 1)], cols] = mat.data[at]
+    def inside(shift: np.ndarray) -> np.ndarray:
+        """The nodes i at which i + shift is a node."""
+        ok = np.ones(n, dtype=bool)
+        for a in np.flatnonzero(shift):
+            x = grid.nodes[:, a] + shift[a]
+            ok &= (x >= 1) & (x <= sizes[a])
+        return ok
+
+    # the Laplacian stencil: the node itself, then the 2d neighbor slots
+    moves = np.concatenate([np.zeros((1, d), dtype=np.int64), neighbor_steps(d)])
+    coefficients = [2.0 * d] + [-1.0] * (2 * d)
+
+    def terms():
+        """(shift, value, nodes where it applies) of each stencil term, one
+        node mask at a time."""
+        if order == 2:
+            for s, c in zip(moves, coefficients):
+                yield s, c, inside(s)
+            return
+        for s, c in zip(moves, coefficients):
+            for t, e in zip(moves, coefficients):
+                yield s + t, c * e, inside(s) & inside(s + t)
+        for s in moves[1:]:
+            yield moves[0], 2.0, ~inside(s)
+
+    reach = moves if order == 2 else (moves[:, None] + moves).reshape(-1, d)
+    offsets = np.unique(reach @ strides)
+    data = np.zeros((offsets.size, n))
+    for shift, value, at in terms():
+        # node i's entry at this offset sits in column i + offset
+        offset = int(shift @ strides)
+        if abs(offset) >= n:
+            continue  # a move out of a thin box, at no node
+        lo, hi = max(offset, 0), n + min(offset, 0)
+        row = data[np.searchsorted(offsets, offset), lo:hi]
+        np.add(row, value, out=row, where=at[lo - offset:hi - offset])
+    # a move that fits nowhere in a thin box leaves its diagonal empty
+    present = data.any(axis=1)
+    if not present.all():
+        data, offsets = data[present], offsets[present]
+    data *= grid.spacing ** float(-order)
     data.setflags(write=False)
-    return sp.dia_array((data, np.flatnonzero(present) - (n - 1)), shape=mat.shape)
+    return sp.dia_array((data, offsets), shape=(n, n))
 
 
 def _laplacian_interior(grid: Grid) -> sp.csr_matrix:
@@ -205,17 +264,18 @@ def _bilaplacian(grid: Grid) -> sp.csr_matrix:
 
 def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     """Assemble the stencil matrix of a grid: order 2 (Dirichlet Laplacian)
-    or 4 (clamped bilaplacian).  The background weight is never read."""
+    or 4 (clamped bilaplacian), stored by diagonals on a grid that fills
+    its lattice and is not factored, as CSR elsewhere.  The background
+    weight is never read."""
     if order not in (2, 4):
         raise ValueError(f"operator order must be 2 or 4, got {order}")
+    if grid.fills_lattice and not _factored(grid.dimension, grid.node_count):
+        return StiffnessMatrix(_lattice_diagonals(grid, order), grid.dimension, order)
     mat = _laplacian_interior(grid) if order == 2 else _bilaplacian(grid)
     mat.data *= grid.spacing ** float(-order)
     mat.sort_indices()
     mat.data.setflags(write=False)
-    stiffness = StiffnessMatrix(matrix=mat, dimension=grid.dimension, order=order)
-    if grid.fills_lattice and not stiffness.factored:
-        stiffness = replace(stiffness, diagonals=_diagonal_storage(mat))
-    return stiffness
+    return StiffnessMatrix(mat, grid.dimension, order)
 
 
 def assemble_weight(grid: Grid, rho: np.ndarray) -> np.ndarray:

@@ -271,10 +271,13 @@ def test_oracle_input_errors_exit_1_without_output(tmp_path, capsys, text, match
     ("shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n",
      "check needs a curved background: key 'bump_amplitude': a curved background "
      "needs operator order p = d, got p = 2 in d = 3"),
+    ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
+     "bump_amplitude = 1e-20\ncheck_levels = 2\n",
+     "key 'bump_amplitude': 1e-20 leaves every node weight e^(dw) at 1.0"),
 ])
 def test_check_input_errors_exit_1_without_output(tmp_path, capsys, text, match):
     # the conformal report of check needs a curved copy of the problem, which
-    # its order 2 allows only in 2D
+    # its order 2 allows only in 2D, and a bump that curves the grid at all
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 1

@@ -70,7 +70,7 @@ def test_solve_honors_warm_start():
 
 
 def test_solve_rejects_indefinite():
-    bad = StiffnessMatrix(matrix=sp.csr_matrix(np.diag([1.0, -1.0])), dimension=1, order=2)
+    bad = StiffnessMatrix(sp.csr_matrix(np.diag([1.0, -1.0])), dimension=1, order=2)
     with pytest.raises(CGStagnationError, match="CG stagnation"):
         solve_spd(bad, np.array([1.0, 1.0]), 1e-12)
 
@@ -93,7 +93,7 @@ def test_solve_rejects_nonfinite_rhs():
 
 
 def _diag_stiffness(values):
-    return StiffnessMatrix(matrix=sp.csr_matrix(np.diag(np.asarray(values, dtype=float))),
+    return StiffnessMatrix(sp.csr_matrix(np.diag(np.asarray(values, dtype=float))),
                            dimension=1, order=2)
 
 
@@ -570,40 +570,39 @@ class _CountingProducts:
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_cg_eigenpair_takes_diagonal_products_bitwise(order):
-    # the CG path on a 3D box: diagonal storage against the same matrix
-    # with its CSR form alone, on a weight that makes W non-trivial
+    # the CG path on a 3D box: its diagonal storage against the same matrix
+    # stored as CSR, on a weight that makes W non-trivial
     g = mo.build_grid(mo.square_spec(1.0 / 7, dimension=3))
     a = mo.assemble_stiffness(g, order=order)
-    assert a.factor is None and a.diagonals is not None
+    assert a.factor is None and isinstance(a.stored, sp.dia_array)
     w = np.random.default_rng(order).uniform(0.5, 2.0, g.node_count)
     opts = mo.SolverOptions(eig_rel_tol=1e-10, max_iterations=4000)
-    csr = dataclasses.replace(a, diagonals=None)
+    csr = StiffnessMatrix(a.matrix, a.dimension, a.order)
     got = mo.first_eigenpair(a, w, opts)
     want = mo.first_eigenpair(csr, w, opts)
     assert got.eigenvalue == want.eigenvalue
     assert got.vector.tobytes() == want.vector.tobytes()
     assert got.residual == want.residual
     assert got.iterations == want.iterations > 1
-    # every product of the run goes through the diagonal copy
-    spied = dataclasses.replace(a, matrix=_CountingProducts(a.matrix),
-                                diagonals=_CountingProducts(a.diagonals))
+    # every product of the run goes through the stored diagonals, and the
+    # CSR form is never built
+    spied = dataclasses.replace(a, stored=_CountingProducts(a.stored))
     again = mo.first_eigenpair(spied, w, opts)
     assert again.vector.tobytes() == want.vector.tobytes()
-    assert spied.matrix.products == 0 and spied.diagonals.products > again.iterations
+    assert spied.stored.products > again.iterations and "matrix" not in vars(spied)
 
 
 def test_cg_solve_takes_diagonal_products_bitwise():
     # cold and warm starts, each long enough for the periodic residual refresh
     g = mo.build_grid(mo.square_spec(1.0 / 7, dimension=3))
     a = mo.assemble_stiffness(g, order=4)
-    assert a.factor is None and a.diagonals is not None
+    assert a.factor is None and isinstance(a.stored, sp.dia_array)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(g.node_count)
-    csr = dataclasses.replace(a, diagonals=None)
+    csr = StiffnessMatrix(a.matrix, a.dimension, a.order)
     for guess in (None, rng.standard_normal(g.node_count)):
-        spied = dataclasses.replace(a, matrix=_CountingProducts(a.matrix),
-                                    diagonals=_CountingProducts(a.diagonals))
+        spied = dataclasses.replace(a, stored=_CountingProducts(a.stored))
         want = solve_spd(csr, b, 1e-12, x0=guess).tobytes()
         assert solve_spd(a, b, 1e-12, x0=guess).tobytes() == want
         assert solve_spd(spied, b, 1e-12, x0=guess).tobytes() == want
-        assert spied.matrix.products == 0 and spied.diagonals.products > 50
+        assert spied.stored.products > 50 and "matrix" not in vars(spied)

@@ -290,7 +290,12 @@ def test_assembly_allocates_at_most_twice_the_matrix():
 # diagonal storage of full-lattice matrices on the conjugate-gradient path
 
 # boxes in dimensions 1 to 4 and two rectangles, none of them factored: the
-# 2D ones exceed FACTOR_MAX_NODES
+# 2D ones exceed FACTOR_MAX_NODES.  Then degenerate boxes: a single node and
+# a box one node thick, where diagonals vanish, and boxes of 2 and 3 nodes
+# along the last axis, where two moves share an offset: a step along axis 1
+# and two steps along axis 2 are both offset 2 on 2 nodes (the second fits
+# nowhere), and a step along axis 1 less one along axis 2 and two steps
+# along axis 2 are both offset 2 on 3 nodes
 _FULL_LATTICE = {
     "line": mo.square_spec(1.0 / 9, dimension=1),
     "square": mo.square_spec(1.0 / 130),
@@ -298,7 +303,20 @@ _FULL_LATTICE = {
     "tesseract": mo.square_spec(1.0 / 5, dimension=4),
     "rectangle": mo.box_spec(1.0 / 100, [(0.0, 2.0), (0.0, 1.0)]),
     "box": mo.box_spec(1.0 / 6, [(0.0, 1.0), (0.0, 0.5), (-1.0, 1.0)]),
+    "point": mo.square_spec(0.5, dimension=3),
+    "slab": mo.box_spec(0.25, [(0.0, 1.0), (0.0, 0.5), (0.0, 1.25)]),
+    "pairs": mo.square_spec(1.0 / 3, dimension=3),
+    "triples": mo.box_spec(0.25, [(0.0, 1.0), (0.0, 1.5), (0.0, 1.0)]),
 }
+
+
+def _assembled_csr(grid, order):
+    """The CSR assembly of the stiffness, scaled as ``assemble_stiffness``
+    scales it."""
+    mat = operators._laplacian_interior(grid) if order == 2 else operators._bilaplacian(grid)
+    mat.data *= grid.spacing ** float(-order)
+    mat.sort_indices()
+    return mat
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -307,16 +325,56 @@ def test_diagonal_products_match_csr_bitwise(name, order):
     grid = mo.build_grid(_FULL_LATTICE[name])
     a = mo.assemble_stiffness(grid, order=order)
     assert grid.fills_lattice and not a.factored
-    dia = a.diagonals
+    want = _assembled_csr(grid, order)
+    # the stored diagonals are the CSR assembly's, offsets and data to the bit
+    dia, want_dia = a.stored, want.todia()
+    assert isinstance(dia, sp.dia_array)
     assert np.all(np.diff(dia.offsets) > 0)
     assert dia.data.shape == (dia.offsets.size, grid.node_count)
-    assert (dia.tocsr() != a.matrix).nnz == 0
+    assert np.array_equal(dia.offsets, want_dia.offsets)
+    assert dia.data.dtype == want_dia.data.dtype
+    assert dia.data.tobytes() == want_dia.data.tobytes()
+    assert not dia.data.flags.writeable
+    # and so is the CSR form derived from them
+    assert "matrix" not in vars(a)
+    assert _same_csr(a.matrix, want)
+    assert a.matrix.has_sorted_indices and not a.matrix.data.flags.writeable
     rng = np.random.default_rng(order * 100 + grid.dimension)
     for _ in range(3):
         # entries spread over many binades, so that the order of the sums shows
         x = rng.standard_normal(grid.node_count) * np.exp(
             rng.uniform(-20.0, 20.0, grid.node_count))
-        assert (dia @ x).tobytes() == (a.matrix @ x).tobytes()
+        assert (dia @ x).tobytes() == (want @ x).tobytes()
+
+
+def test_lattice_assembly_allocates_little_beside_its_diagonals():
+    # the 4D clamped plate at h=1/10: the diagonals are the only large array
+    # that assembly makes (the CSR route took 3.3 times their size)
+    grid = mo.build_grid(mo.square_spec(0.1, dimension=4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        a = mo.assemble_stiffness(grid, order=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert a.stored.data.shape == (41, grid.node_count)
+    assert peak <= 1.2 * a.stored.data.nbytes
+
+
+def test_minimize_on_the_diagonal_path_builds_no_csr():
+    # the 4D clamped plate at h=1/5: every product of the run takes the
+    # diagonals, and the CSR form is built only when asked for
+    grid = mo.build_grid(mo.square_spec(0.2, dimension=4))
+    spec = mo.ProblemSpec(grid=grid, rho_min=0.5, rho_max=2.0,
+                          mass=mo.domain_volume(grid), order=4)
+    _, pair, _, trace = mo.minimize(spec)
+    assert trace.status == "converged" and pair.eigenvalue > 0.0
+    a = spec.stiffness
+    assert not a.factored and isinstance(a.stored, sp.dia_array)
+    assert "matrix" not in vars(a)
+    assert _same_csr(a.matrix, _assembled_csr(grid, 4))
 
 
 @pytest.mark.parametrize("spec", [
@@ -330,7 +388,8 @@ def test_masked_grids_build_no_diagonal_copy(spec):
     assert not grid.fills_lattice
     for order in (2, 4):
         a = mo.assemble_stiffness(grid, order=order)
-        assert not a.factored and a.diagonals is None
+        assert not a.factored and a.stored is a.matrix
+        assert isinstance(a.stored, sp.csr_matrix)
 
 
 def test_factored_matrices_build_no_diagonal_copy():
@@ -338,4 +397,5 @@ def test_factored_matrices_build_no_diagonal_copy():
     assert grid.fills_lattice
     for order in (2, 4):
         a = mo.assemble_stiffness(grid, order=order)
-        assert a.factored and a.diagonals is None
+        assert a.factored and a.stored is a.matrix
+        assert isinstance(a.stored, sp.csr_matrix)
