@@ -3,9 +3,13 @@
 A grid is the set of lattice points of spacing ``h`` that lie strictly
 inside a shape and strictly inside the lattice bounding box.  Nodes are
 ordered lexicographically by integer coordinate, so construction is
-bitwise deterministic, and a dense lattice index array maps every lattice
-point back to its node (-1 where there is none); neighbor tables, lookups
-and reflections are array indexing into it.  Boundary values are never
+bitwise deterministic.  A dense lattice index array, padded by one layer
+on every side, maps every lattice point back to its node (-1 where there
+is none).  A point's place in it is one flat index, its coordinates plus
+one dotted with the array's element strides: the lattice map is one
+scatter at the nodes' flat indices, the neighbor table one gather at
+those indices plus a constant offset per axis step, and lookups and
+reflections go through the same flat indices.  Boundary values are never
 stored: a missing axis neighbor means the homogeneous Dirichlet condition
 applies across that edge.
 
@@ -230,7 +234,9 @@ class Grid:
     integer coordinates ``i`` (0 <= i_k <= lattice_cells[k]), -1 where
     there is none.  It carries one layer of -1 padding on every side, so
     that the neighbors of Dirichlet-layer points stay in bounds; use
-    ``lookup`` rather than indexing it directly.
+    ``lookup`` rather than indexing it directly.  ``lookup`` takes
+    coordinates within one step of the lattice, -1 <= i_k <=
+    lattice_cells[k] + 1, and raises ``ValueError`` on any other.
     """
 
     spec: GridSpec
@@ -281,8 +287,33 @@ class Grid:
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Node indices for an (N, d) array of integer coordinates, -1 where
         there is no node.  Each coordinate must lie in -1..lattice_cells[k]+1,
-        i.e. within one step of the lattice."""
-        return self.lattice[tuple(np.asarray(points).T + 1)]
+        i.e. within one step of the lattice; raises ``ValueError`` naming the
+        first point that does not."""
+        points = np.asarray(points)
+        top = np.array(self.lattice_cells) + 1
+        outside = (points < -1) | (points > top)
+        if outside.any():
+            row, k = (int(v) for v in np.argwhere(outside)[0])
+            raise ValueError(
+                f"lookup point {tuple(int(v) for v in points[row])} is more than "
+                f"one step off the lattice: coordinate {k} must lie in "
+                f"-1..{int(top[k])}"
+            )
+        return self.lattice.reshape(-1)[_flat_index(self.lattice, points)]
+
+
+def _element_strides(lattice: np.ndarray) -> np.ndarray:
+    """Element strides of the padded lattice, shape (d,): a step s between
+    lattice points moves the flat index by s @ strides."""
+    return np.array(lattice.strides, dtype=np.int64) // lattice.itemsize
+
+
+def _flat_index(lattice: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Position in ``lattice.reshape(-1)`` of each row of (N, d) integer
+    coordinates: the coordinates plus one (the padding layer) dotted with the
+    element strides.  Only points within one step of the lattice have a
+    position of their own; any other may alias another point's."""
+    return (points + 1) @ _element_strides(lattice)
 
 
 def neighbor_steps(dimension: int) -> np.ndarray:
@@ -316,12 +347,15 @@ def build_grid(spec: GridSpec) -> Grid:
             f"(shape {type(spec.shape).__name__}, h={h})"
         )
 
+    # one flat index per node: the lattice map is a scatter at it and the
+    # neighbor table a gather at it plus each slot's step, all in bounds
+    # because every node and its neighbors lie within the padding
     lattice = np.full(tuple(c + 3 for c in cells), -1, dtype=np.int64)
-    lattice[tuple(node_arr.T + 1)] = np.arange(n)
-
-    neighbors = np.empty((n, 2 * d), dtype=np.int64)
-    for slot, step in enumerate(neighbor_steps(d)):
-        neighbors[:, slot] = lattice[tuple((node_arr + step).T + 1)]
+    flat = _flat_index(lattice, node_arr)
+    lattice_flat = lattice.reshape(-1)
+    lattice_flat[flat] = np.arange(n)
+    steps = neighbor_steps(d) @ _element_strides(lattice)
+    neighbors = lattice_flat[flat[:, None] + steps]
 
     if spec.background is not None:
         w = np.asarray(spec.background(origin + node_arr * h), dtype=float)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_grid_arrays_are_read_only():
         g.nodes[0, 0] = 7
 
 
+@pytest.mark.parametrize("dimension", [2, 4])
+def test_lookup_refuses_points_beyond_the_padding(dimension):
+    # h = 1/4: lattice_cells 4 per axis, lookup's range -1..5 per axis
+    g = mo.build_grid(mo.square_spec(0.25, dimension=dimension))
+    corner = (-1,) * dimension
+    top = (5,) * dimension
+    center = (2,) * dimension
+    assert g.lookup([corner, top]).tolist() == [-1, -1]
+    assert g.lookup([center]).tolist() == [(3**dimension - 1) // 2]
+    below = (-4,) * dimension  # used to wrap round to the node at (3, ..., 3)
+    above = (2,) * (dimension - 1) + (6,)
+    for bad in (below, above):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            g.lookup([center, bad, corner])
+
+
 # ---------------------------------------------------------------------------
 # the lattice index against a dict-and-BFS reference written independently
 # of build_grid
@@ -216,9 +233,21 @@ def _reference_components(members):
 def _check_against_reference(g, member_flags):
     d = g.dimension
     cells, nodes = _reference_nodes(g.spec)
+    # operators slices neighbors by slot, so layout and dtype are part of the contract
+    assert g.nodes.shape == (len(nodes), d)
+    assert g.neighbors.shape == (len(nodes), 2 * d)
+    assert g.lattice.shape == tuple(n + 3 for n in cells)
+    for arr in (g.nodes, g.neighbors, g.lattice):
+        assert arr.dtype == np.int64
+        assert arr.flags.c_contiguous
+        assert not arr.flags.writeable
     index = {point: i for i, point in enumerate(nodes)}
     assert g.lattice_cells == tuple(cells)
     assert [tuple(int(v) for v in row) for row in g.nodes] == nodes
+    lattice = np.full(g.lattice.shape, -1)
+    for i, point in enumerate(nodes):
+        lattice[tuple(v + 1 for v in point)] = i
+    assert np.array_equal(g.lattice, lattice)
     expected = [[index.get(_shifted(point, axis, step), -1)
                  for axis in range(d) for step in (-1, 1)] for point in nodes]
     assert g.neighbors.tolist() == expected
@@ -256,7 +285,24 @@ def test_lattice_matches_reference_on_random_masks(inside, member_flags):
     _check_against_reference(g, np.asarray(member_flags))
 
 
-@pytest.mark.parametrize("dimension", [3, 4])
+# interior 3 x 4 x 5: unequal extents, so a stride taken from the wrong axis shows
+_MASK_3D = (3, 4, 5)
+
+
+@given(st.lists(st.booleans(), min_size=60, max_size=60),
+       st.lists(st.booleans(), min_size=60, max_size=60))
+@settings(max_examples=25, deadline=None)
+def test_lattice_matches_reference_on_random_3d_masks(inside, member_flags):
+    cells = frozenset(point for point, keep in
+                      zip(itertools.product(*(range(1, n + 1) for n in _MASK_3D)), inside)
+                      if keep)
+    assume(cells)
+    g = mo.build_grid(mo.GridSpec(3, 1.0, tuple((0.0, n + 1.0) for n in _MASK_3D),
+                                  Region.cells(1.0, cells, origin=(0.0, 0.0, 0.0))))
+    _check_against_reference(g, np.asarray(member_flags))
+
+
+@pytest.mark.parametrize("dimension", [1, 3, 4])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_lattice_matches_reference_on_boxes(dimension, data):
