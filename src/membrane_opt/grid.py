@@ -7,11 +7,11 @@ bitwise deterministic.  A dense lattice index array, padded by one layer
 on every side, maps every lattice point back to its node (-1 where there
 is none).  A point's place in it is one flat index, its coordinates plus
 one dotted with the array's element strides: the lattice map is one
-scatter at the nodes' flat indices, the neighbor table one gather at
-those indices plus a constant offset per axis step, and lookups and
-reflections go through the same flat indices.  Boundary values are never
-stored: a missing axis neighbor means the homogeneous Dirichlet condition
-applies across that edge.
+scatter at the nodes' flat indices, each slot of the neighbor table
+(built on first use) one gather at those indices plus the slot's
+constant offset, and lookups and reflections go through the same flat
+indices.  Boundary values are never stored: a missing axis neighbor means
+the homogeneous Dirichlet condition applies across that edge.
 
 Both per-point inputs are array functions, each called once per grid.  A
 shape is any object with a vectorized ``contains(points)`` that maps the
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -227,21 +228,18 @@ class Grid:
     """Immutable masked discretization; arrays are write-protected.
 
     ``nodes`` holds integer coordinates, one row per interior node, in
-    lexicographic order.  ``neighbors`` has one row per node with 2d slots
-    ordered (axis0-, axis0+, axis1-, axis1+, ...); -1 marks a missing
-    neighbor, i.e. a homogeneous Dirichlet wall.  ``lattice`` is the
-    inverse of ``nodes``: ``lattice[i + 1]`` is the index of the node at
-    integer coordinates ``i`` (0 <= i_k <= lattice_cells[k]), -1 where
-    there is none.  It carries one layer of -1 padding on every side, so
-    that the neighbors of Dirichlet-layer points stay in bounds; use
-    ``lookup`` rather than indexing it directly.  ``lookup`` takes
-    coordinates within one step of the lattice, -1 <= i_k <=
-    lattice_cells[k] + 1, and raises ``ValueError`` on any other.
+    lexicographic order.  ``lattice`` is the inverse of ``nodes``:
+    ``lattice[i + 1]`` is the index of the node at integer coordinates
+    ``i`` (0 <= i_k <= lattice_cells[k]), -1 where there is none.  It
+    carries one layer of -1 padding on every side, so that the neighbors
+    of Dirichlet-layer points stay in bounds; use ``lookup`` rather than
+    indexing it directly.  ``lookup`` takes coordinates within one step of
+    the lattice, -1 <= i_k <= lattice_cells[k] + 1, and raises
+    ``ValueError`` on any other.  ``neighbors`` is built on first use.
     """
 
     spec: GridSpec
     nodes: np.ndarray
-    neighbors: np.ndarray
     lattice: np.ndarray
     e2w: np.ndarray
     lattice_cells: tuple[int, ...]
@@ -277,6 +275,23 @@ class Grid:
         node, as on boxes; a step between lattice points is then one
         constant offset between node indices."""
         return self.node_count == math.prod(c - 1 for c in self.lattice_cells)
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        """The (N, 2d) int64 neighbor table, read-only: one row per node
+        with 2d slots ordered (axis0-, axis0+, axis1-, axis1+, ...), -1
+        marking a missing neighbor, i.e. a homogeneous Dirichlet wall.
+        Built from the lattice on first use, one gather per slot at the
+        nodes' flat indices plus the slot's constant offset, all in bounds
+        because every node and its neighbors lie within the padding; slot
+        by slot, the index temporaries stay one column in size."""
+        flat = _flat_index(self.lattice, self.nodes)
+        steps = neighbor_steps(self.dimension) @ _element_strides(self.lattice)
+        table = np.empty((flat.shape[0], steps.shape[0]), dtype=np.int64)
+        for slot, step in enumerate(steps):
+            table[:, slot] = self.lattice.reshape(-1)[flat + step]
+        table.setflags(write=False)
+        return table
 
     def coordinates(self) -> np.ndarray:
         """Physical node centers, shape (N, d)."""
@@ -347,15 +362,9 @@ def build_grid(spec: GridSpec) -> Grid:
             f"(shape {type(spec.shape).__name__}, h={h})"
         )
 
-    # one flat index per node: the lattice map is a scatter at it and the
-    # neighbor table a gather at it plus each slot's step, all in bounds
-    # because every node and its neighbors lie within the padding
+    # the lattice map is one scatter at the nodes' flat indices
     lattice = np.full(tuple(c + 3 for c in cells), -1, dtype=np.int64)
-    flat = _flat_index(lattice, node_arr)
-    lattice_flat = lattice.reshape(-1)
-    lattice_flat[flat] = np.arange(n)
-    steps = neighbor_steps(d) @ _element_strides(lattice)
-    neighbors = lattice_flat[flat[:, None] + steps]
+    lattice.reshape(-1)[_flat_index(lattice, node_arr)] = np.arange(n)
 
     if spec.background is not None:
         w = np.asarray(spec.background(origin + node_arr * h), dtype=float)
@@ -375,12 +384,11 @@ def build_grid(spec: GridSpec) -> Grid:
     else:
         e2w = np.ones(n)
 
-    for arr in (node_arr, neighbors, lattice, e2w):
+    for arr in (node_arr, lattice, e2w):
         arr.setflags(write=False)
     return Grid(
         spec=spec,
         nodes=node_arr,
-        neighbors=neighbors,
         lattice=lattice,
         e2w=e2w,
         lattice_cells=tuple(cells),

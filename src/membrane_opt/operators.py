@@ -1,36 +1,40 @@
 """Finite-difference stiffness and weight operators on masked grids.
 
 Order 2 is the (2d+1)-point Dirichlet Laplacian with eliminated boundary
-rows, assembled directly as CSR from the grid's neighbor table.  Order 4
-is the square of that Laplacian with clamped-plate walls: the
-intermediate Laplacian is also evaluated on the Dirichlet layer (value
-zero there), where any non-interior neighbor is replaced by the mirror
-image of the opposite node, which encodes a vanishing normal derivative.
-Applying the reflection to every non-interior neighbor, not only to
-points strictly outside the closure, keeps the assembled matrix exactly
-symmetric on non-convex masked domains; on rectangles the two rules
-coincide.
+rows.  Order 4 is the square of that Laplacian with clamped-plate walls:
+the intermediate Laplacian is also evaluated on the Dirichlet layer
+(value zero there), where any non-interior neighbor is replaced by the
+mirror image of the opposite node, which encodes a vanishing normal
+derivative.  Applying the reflection to every non-interior neighbor, not
+only to points strictly outside the closure, keeps the assembled matrix
+exactly symmetric on non-convex masked domains; on rectangles the two
+rules coincide.
 
-Assembly happens in integer stencil units and is scaled by h^(-p) in
-place at the end.  All intermediate arithmetic is exact in double
-precision, so the matrix is symmetric entry-for-entry and independent,
-bit for bit, of the background weight field.  A grid that fills its
-lattice and is not factored takes none of the CSR assembly: there every
-stencil move is a constant diagonal, and ``_lattice_diagonals`` writes
-the same integers straight into diagonal (DIA) storage, which is the
-matrix's only stored copy (see ``StiffnessMatrix``).
+Both orders come from one stencil rule, ``_stencil``: a list of reach
+shifts (lattice steps from a node to the columns of its row) and integer
+terms, each a value added at one shift on the nodes of a mask, every mask
+one gather through the grid's lattice.  Two emitters store the sum.  On a
+grid that fills its lattice and is not factored every shift is a constant
+diagonal, and ``_diagonals`` adds the terms into diagonal (DIA) storage,
+the matrix's only stored copy (see ``StiffnessMatrix``); everywhere else
+``_compressed`` accumulates them in a small integer table and keeps its
+non-zeros as CSR.  Entries are exact integers until one scaling by
+h^(-p), so the two forms hold the same bits, the matrix is symmetric
+entry-for-entry, and it is independent, bit for bit, of the background
+weight field.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, neighbor_steps
+from .grid import Grid, _element_strides, _flat_index, neighbor_steps
 
 __all__ = [
     "FACTOR_MAX_NODES",
@@ -78,7 +82,8 @@ class StiffnessMatrix:
     MiB for the 4D clamped plate at h=1/10 (6561 nodes).  Each DIA row sums
     its products in ascending column order, as a CSR row with sorted
     indices does, and its padding slots add only zeros, so every product
-    is bit-identical to the CSR one.  On a 2-vCPU Intel Xeon a product
+    is bit-identical to the CSR one; both forms hold the sums of the same
+    stencil terms (see ``_stencil``).  On a 2-vCPU Intel Xeon a product
     costs 204 against 247 us for that plate, 268 against 363 us for the
     p=4 square at h=1/160 (13 diagonals) and 256 against 325 us for the
     p=2 square at h=1/256 (5 diagonals).  Everywhere else it is CSR with
@@ -129,65 +134,78 @@ class StiffnessMatrix:
                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _lattice_diagonals(grid: Grid, order: int) -> sp.dia_array:
-    """The stiffness of a grid that fills its lattice, written straight
-    into diagonal storage with ascending offsets.
+def _stencil(grid: Grid, order: int
+             ) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
+    """The stencil of the integer-unit stiffness: its reach shifts, shape
+    (K, d), and a generator of its terms.
 
-    A stencil move (a lattice step) is one constant index offset on a box,
-    and it lands inside the box exactly where every coordinate it changes
-    stays within 1..(nodes along that axis).  Order 2 writes the moves of
-    the Laplacian stencil L (2d at the node, -1 at each neighbor).  Order 4
-    writes L^2 as move pairs: the pair (s, t) adds the product of the
-    coefficients of s and t at every node i where i + s and i + s + t are
-    nodes, and the mirror rule of ``_bilaplacian`` adds 2 on the diagonal
-    for each missing neighbor slot, since on a box the wall point behind
-    such a slot touches only that node.  Every entry is an exact sum of
-    integers, the same as the CSR assembly's, and the array is scaled by
-    h^(-p) once.  As scipy's DIA layout has it, the entry (j - o, j) of the
-    diagonal at offset o sits in column j of that diagonal's data row;
-    padding slots hold zero.
+    The reach shifts are the lattice steps between a node and the columns
+    of its row: the moves of the Laplacian stencil L (the node itself and
+    its 2d neighbor slots) for order 2, the move pairs s + t for order 4.
+    They are sorted by their offset in the padded lattice, and nodes are in
+    lexicographic order, so the columns of every row come out ascending.
+    Each term is (index of a reach shift, integer value, mask of the nodes
+    i at which it applies); an entry of the matrix is the sum of the terms
+    at its row's node and its column's shift.  Order 2 is L: 2d at the
+    node, -1 at each neighbor.  Order 4 is L^2 as move pairs, the pair
+    (s, t) adding the product of the coefficients where i + s and
+    i + s + t are nodes, plus the clamped wall: behind each missing slot s,
+    the wall point q = i + s adds 1 at q + t for each neighbor slot t, or
+    at the mirror q - t where q + t is not a node.  The node mask of every
+    shift is one gather through ``grid.lattice`` at the nodes' flat index,
+    taken here, before an emitter allocates its storage.
     """
-    n, d = grid.node_count, grid.dimension
-    sizes = [c - 1 for c in grid.lattice_cells]
-    strides = np.array([math.prod(sizes[a + 1:]) for a in range(d)])
-
-    def inside(shift: np.ndarray) -> np.ndarray:
-        """The nodes i at which i + shift is a node."""
-        ok = np.ones(n, dtype=bool)
-        for a in np.flatnonzero(shift):
-            x = grid.nodes[:, a] + shift[a]
-            ok &= (x >= 1) & (x <= sizes[a])
-        return ok
-
-    # the Laplacian stencil: the node itself, then the 2d neighbor slots
+    d = grid.dimension
+    strides = _element_strides(grid.lattice)
     moves = np.concatenate([np.zeros((1, d), dtype=np.int64), neighbor_steps(d)])
-    coefficients = [2.0 * d] + [-1.0] * (2 * d)
+    coefficients = [2 * d] + [-1] * (2 * d)
+    pairs = moves if order == 2 else (moves[:, None] + moves).reshape(-1, d)
+    offsets, first = np.unique(pairs @ strides, return_index=True)
+    flat = _flat_index(grid.lattice, grid.nodes)
+    lattice = grid.lattice.reshape(-1)
+    # by a shift's offset: the nodes i at which i + shift is a node
+    node = {offset: lattice[flat + offset] >= 0 for offset in offsets.tolist()}
+    index = {offset: k for k, offset in enumerate(node)}
+    steps = (moves @ strides).tolist()
 
     def terms():
-        """(shift, value, nodes where it applies) of each stencil term, one
-        node mask at a time."""
         if order == 2:
-            for s, c in zip(moves, coefficients):
-                yield s, c, inside(s)
+            for s, c in zip(steps, coefficients):
+                yield index[s], c, node[s]
             return
-        for s, c in zip(moves, coefficients):
-            for t, e in zip(moves, coefficients):
-                yield s + t, c * e, inside(s) & inside(s + t)
-        for s in moves[1:]:
-            yield moves[0], 2.0, ~inside(s)
+        for s, c in zip(steps, coefficients):
+            for t, e in zip(steps, coefficients):
+                yield index[s + t], c * e, node[s] & node[s + t]
+        for s in steps[1:]:
+            for t in steps[1:]:
+                yield index[s + t], 1, ~node[s] & node[s + t]
+                yield index[s - t], 1, ~node[s] & ~node[s + t] & node[s - t]
 
-    reach = moves if order == 2 else (moves[:, None] + moves).reshape(-1, d)
-    offsets = np.unique(reach @ strides)
+    return pairs[first], terms()
+
+
+def _diagonals(grid: Grid, order: int) -> sp.dia_array:
+    """The stiffness of a grid that fills its lattice, in diagonal storage
+    with ascending offsets: there a reach shift is one constant offset
+    between node indices, and each term adds its value into its diagonal's
+    row.  As scipy's DIA layout has it, the entry (j - o, j) of the
+    diagonal at offset o sits in column j of that diagonal's data row;
+    padding slots hold zero.  On a thin box two shifts can share an
+    offset, and a shift that fits nowhere leaves its diagonal empty."""
+    n = grid.node_count
+    shifts, terms = _stencil(grid, order)
+    sizes = [c - 1 for c in grid.lattice_cells]
+    offset = shifts @ [math.prod(sizes[a + 1:]) for a in range(grid.dimension)]
+    offsets = np.unique(offset)
     data = np.zeros((offsets.size, n))
-    for shift, value, at in terms():
+    for k, value, at in terms:
         # node i's entry at this offset sits in column i + offset
-        offset = int(shift @ strides)
-        if abs(offset) >= n:
+        o = int(offset[k])
+        if abs(o) >= n:
             continue  # a move out of a thin box, at no node
-        lo, hi = max(offset, 0), n + min(offset, 0)
-        row = data[np.searchsorted(offsets, offset), lo:hi]
-        np.add(row, value, out=row, where=at[lo - offset:hi - offset])
-    # a move that fits nowhere in a thin box leaves its diagonal empty
+        lo, hi = max(o, 0), n + min(o, 0)
+        row = data[np.searchsorted(offsets, o), lo:hi]
+        np.add(row, value, out=row, where=at[lo - o:hi - o])
     present = data.any(axis=1)
     if not present.all():
         data, offsets = data[present], offsets[present]
@@ -196,70 +214,35 @@ def _lattice_diagonals(grid: Grid, order: int) -> sp.dia_array:
     return sp.dia_array((data, offsets), shape=(n, n))
 
 
-def _laplacian_interior(grid: Grid) -> sp.csr_matrix:
-    """Integer-unit Laplacian stencil on interior nodes (h^2 times -Lap),
-    assembled directly as CSR from the neighbor table."""
+def _compressed(grid: Grid, order: int) -> sp.csr_matrix:
+    """The stiffness of any grid as CSR with sorted indices: the terms
+    accumulate into a (K, n) int16 table, one row per reach shift, whose
+    non-zeros, taken node by node, are the entries; their columns are
+    gathered through the lattice at the nodes' flat index plus each
+    shift's offset."""
     n = grid.node_count
-    d = grid.dimension
-    # one stencil row per node, columns ascending: nodes are in lexicographic
-    # order (axis 0 slowest), so the minus neighbors of axes 0..d-1, the node
-    # itself, then the plus neighbors of axes d-1..0; -1 marks a wall
-    index = np.int32 if n * (2 * d + 1) <= np.iinfo(np.int32).max else np.int64
-    stencil = np.empty((n, 2 * d + 1), dtype=index)
-    stencil[:, :d] = grid.neighbors[:, 0::2]
-    stencil[:, d] = np.arange(n)
-    stencil[:, d + 1:] = grid.neighbors[:, ::-2]
-    present = stencil >= 0
-    indices = stencil[present]
-    del stencil
+    shifts, terms = _stencil(grid, order)
+    table = np.zeros((len(shifts), n), dtype=np.int16)
+    for k, value, at in terms:
+        np.add(table[k], value, out=table[k], where=at)
+    keep = table.T != 0
+    index = np.int32 if table.size <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    data = np.full(indices.shape[0], -1.0)
-    data[indptr[:-1] + np.count_nonzero(present[:, :d], axis=1)] = 2.0 * d
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _bilaplacian(grid: Grid) -> sp.csr_matrix:
-    """Integer-unit clamped bilaplacian (h^4 times Lap^2) via composition."""
-    n = grid.node_count
-    d = grid.dimension
-    lap = _laplacian_interior(grid)
-
-    # the Dirichlet layer: lattice points outside the interior that touch it,
-    # one behind each missing neighbor slot, deduplicated in sorted order;
-    # g_mat is the interior-to-layer adjacency for the outer application
-    steps = neighbor_steps(d)
-    src, slot = np.nonzero(grid.neighbors < 0)
-    layer, g_cols = np.unique(grid.nodes[src] + steps[slot], axis=0,
-                              return_inverse=True)
-    m = layer.shape[0]
-    g_mat = sp.coo_matrix(
-        (np.ones(src.shape[0]), (src, g_cols.ravel())), shape=(n, m)
-    ).tocsr()
-
-    # rows of the intermediate Laplacian restricted to the Dirichlet layer:
-    # neighbor value if interior, else the mirrored (opposite) interior value
-    z_rows: list[np.ndarray] = []
-    z_cols: list[np.ndarray] = []
-    for ax in range(d):
-        i_minus = grid.lookup(layer + steps[2 * ax])
-        i_plus = grid.lookup(layer + steps[2 * ax + 1])
-        for direct, mirror in ((i_minus, i_plus), (i_plus, i_minus)):
-            col = np.where(direct >= 0, direct, mirror)
-            z_rows.append(np.flatnonzero(col >= 0))
-            z_cols.append(col[col >= 0])
-    rows = np.concatenate(z_rows)
-    z_mat = sp.coo_matrix(
-        (np.ones(rows.shape[0]), (rows, np.concatenate(z_cols))), shape=(m, n)
-    ).tocsr()
-
-    # both applications carry -Lap: layer values of -h^2 Lap(phi) are -(z phi),
-    # and the outer stencil hits them with coefficient -1, so the signs cancel
-    out = (lap @ lap + g_mat @ z_mat).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    out.eliminate_zeros()
-    return out
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    # each temporary goes as soon as it is spent: together they set the
+    # assembly's peak, which the tests bound by twice the stored bytes
+    flat = _flat_index(grid.lattice, grid.nodes)
+    columns = np.empty((len(shifts), n), dtype=index)
+    for k, offset in enumerate(shifts @ _element_strides(grid.lattice)):
+        np.take(grid.lattice, flat + offset, out=columns[k])
+    del flat
+    indices = columns.T[keep]
+    del columns
+    data = np.multiply(table.T[keep], grid.spacing ** float(-order))
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.sort_indices()
+    mat.data.setflags(write=False)
+    return mat
 
 
 def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
@@ -270,12 +253,8 @@ def assemble_stiffness(grid: Grid, order: int = 2) -> StiffnessMatrix:
     if order not in (2, 4):
         raise ValueError(f"operator order must be 2 or 4, got {order}")
     if grid.fills_lattice and not _factored(grid.dimension, grid.node_count):
-        return StiffnessMatrix(_lattice_diagonals(grid, order), grid.dimension, order)
-    mat = _laplacian_interior(grid) if order == 2 else _bilaplacian(grid)
-    mat.data *= grid.spacing ** float(-order)
-    mat.sort_indices()
-    mat.data.setflags(write=False)
-    return StiffnessMatrix(mat, grid.dimension, order)
+        return StiffnessMatrix(_diagonals(grid, order), grid.dimension, order)
+    return StiffnessMatrix(_compressed(grid, order), grid.dimension, order)
 
 
 def assemble_weight(grid: Grid, rho: np.ndarray) -> np.ndarray:

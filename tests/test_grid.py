@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -169,6 +170,15 @@ def test_grid_arrays_are_read_only():
         g.nodes[0, 0] = 7
 
 
+def test_neighbor_table_is_built_once_on_first_use():
+    g = mo.build_grid(mo.disk_spec(1.0 / 8))
+    assert "neighbors" not in vars(g)
+    table = g.neighbors
+    assert g.neighbors is table and not table.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.neighbors = table.copy()
+
+
 @pytest.mark.parametrize("dimension", [2, 4])
 def test_lookup_refuses_points_beyond_the_padding(dimension):
     # h = 1/4: lattice_cells 4 per axis, lookup's range -1..5 per axis
@@ -233,7 +243,7 @@ def _reference_components(members):
 def _check_against_reference(g, member_flags):
     d = g.dimension
     cells, nodes = _reference_nodes(g.spec)
-    # operators slices neighbors by slot, so layout and dtype are part of the contract
+    # verify slices neighbors by slot, so layout and dtype are part of the contract
     assert g.nodes.shape == (len(nodes), d)
     assert g.neighbors.shape == (len(nodes), 2 * d)
     assert g.lattice.shape == tuple(n + 3 for n in cells)

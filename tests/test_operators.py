@@ -20,6 +20,7 @@ from shapes import Region
 # non-interior neighbor of a Dirichlet-layer point through that point
 
 def _symbolic_bilaplacian(grid):
+    """Integer-unit clamped bilaplacian (h^4 times Lap^2), dense."""
     d = grid.dimension
     interior = {tuple(int(v) for v in t): k for k, t in enumerate(grid.nodes)}
 
@@ -64,7 +65,7 @@ def _symbolic_bilaplacian(grid):
                     acc[col] = acc.get(col, 0.0) - coef
         for col, coef in acc.items():
             dense[i, col] = coef
-    return dense / grid.spacing**4
+    return dense
 
 
 @pytest.mark.parametrize("spec", [
@@ -80,7 +81,7 @@ def _symbolic_bilaplacian(grid):
 def test_bilaplacian_matches_symbolic_double_application(spec):
     g = mo.build_grid(spec)
     assembled = mo.assemble_stiffness(g, order=4).matrix.toarray()
-    assert np.array_equal(assembled, _symbolic_bilaplacian(g))
+    assert np.array_equal(assembled, _symbolic_bilaplacian(g) / g.spacing**4)
 
 
 def test_single_node_stencils():
@@ -214,7 +215,8 @@ def test_assemble_stiffness_validates_order():
 
 
 # ---------------------------------------------------------------------------
-# direct CSR assembly against the COO construction it replaced
+# the assembly against references built outside ``operators``: COO triplets
+# from the neighbor table for order 2, the symbolic oracle for order 4
 
 def _coo_laplacian(grid):
     """Integer-unit Laplacian through COO triplets, duplicates summed."""
@@ -229,6 +231,17 @@ def _coo_laplacian(grid):
     return mat
 
 
+def _reference(grid, order):
+    """The stiffness as CSR with sorted indices and no stored zeros, scaled
+    as ``assemble_stiffness`` scales it."""
+    if order == 2:
+        mat = _coo_laplacian(grid)
+    else:
+        mat = sp.csr_matrix(_symbolic_bilaplacian(grid))
+    mat.data *= grid.spacing ** float(-order)
+    return mat
+
+
 def _same_csr(a, b):
     return all(getattr(a, k).dtype == getattr(b, k).dtype
                and getattr(a, k).tobytes() == getattr(b, k).tobytes()
@@ -236,14 +249,10 @@ def _same_csr(a, b):
 
 
 def _check_csr_identity(grid):
-    assert _same_csr(operators._laplacian_interior(grid), _coo_laplacian(grid))
-    orders = (2, 4) if grid.flat else (2,)
-    for order in orders:
-        got = mo.assemble_stiffness(grid, order=order).matrix
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(operators, "_laplacian_interior", _coo_laplacian)
-            base = _coo_laplacian(grid) if order == 2 else operators._bilaplacian(grid)
-        assert _same_csr(got, base * grid.spacing ** float(-order))
+    for order in (2, 4):
+        want = _reference(grid, order)
+        assert _same_csr(operators._compressed(grid, order), want)
+        assert _same_csr(mo.assemble_stiffness(grid, order=order).matrix, want)
 
 
 @pytest.mark.parametrize("spec", [
@@ -256,8 +265,13 @@ def _check_csr_identity(grid):
     mo.dumbbell_spec(1.0 / 16),
     mo.annulus_spec(1.0 / 12, 0.3, 1.0),
     mo.annulus_spec(0.25, 0.5, 1.0, dimension=3),
+    mo.square_spec(0.5, dimension=3),
+    mo.box_spec(0.25, [(0.0, 1.0), (0.0, 0.5), (0.0, 1.25)]),
+    mo.square_spec(1.0 / 3, dimension=3),
+    mo.box_spec(0.25, [(0.0, 1.0), (0.0, 1.5), (0.0, 1.0)]),
+    mo.disk_spec(0.25, dimension=4),
 ], ids=["1d", "square", "3d-box", "4d", "disk", "curved-disk", "dumbbell",
-        "annulus", "3d-annulus"])
+        "annulus", "3d-annulus", "point", "slab", "pairs", "triples", "4d-ball"])
 def test_direct_csr_matches_coo_construction(spec):
     _check_csr_identity(mo.build_grid(spec))
 
@@ -273,6 +287,23 @@ def test_direct_csr_matches_coo_on_random_masks(inside):
                                                   Region.cells(h, cells))))
 
 
+_MASK_3D = (3, 4, 5)  # interior nodes per axis
+
+
+@given(st.lists(st.booleans(), min_size=60, max_size=60))
+@settings(max_examples=20, deadline=None)
+def test_direct_csr_matches_references_on_random_3d_masks(inside):
+    cells = frozenset(point for point, keep in
+                      zip(itertools.product(*(range(1, n + 1) for n in _MASK_3D)), inside)
+                      if keep)
+    assume(cells)
+    h = 1.0 / 6
+    bounds = tuple((0.0, (n + 1) * h) for n in _MASK_3D)
+    origin = (0.0, 0.0, 0.0)
+    _check_csr_identity(mo.build_grid(mo.GridSpec(3, h, bounds,
+                                                  Region.cells(h, cells, origin))))
+
+
 def test_assembly_allocates_at_most_twice_the_matrix():
     grid = mo.build_grid(mo.disk_spec(1.0 / 128))
     tracemalloc.start()
@@ -280,6 +311,20 @@ def test_assembly_allocates_at_most_twice_the_matrix():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         mat = mo.assemble_stiffness(grid).matrix
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+
+
+def test_masked_bilaplacian_assembly_allocates_at_most_twice_the_matrix():
+    # the h=1/64 disk is factored, so its bilaplacian is stored as CSR
+    grid = mo.build_grid(mo.disk_spec(1.0 / 64))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mat = mo.assemble_stiffness(grid, order=4).matrix
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -310,23 +355,14 @@ _FULL_LATTICE = {
 }
 
 
-def _assembled_csr(grid, order):
-    """The CSR assembly of the stiffness, scaled as ``assemble_stiffness``
-    scales it."""
-    mat = operators._laplacian_interior(grid) if order == 2 else operators._bilaplacian(grid)
-    mat.data *= grid.spacing ** float(-order)
-    mat.sort_indices()
-    return mat
-
-
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("name", sorted(_FULL_LATTICE))
 def test_diagonal_products_match_csr_bitwise(name, order):
     grid = mo.build_grid(_FULL_LATTICE[name])
     a = mo.assemble_stiffness(grid, order=order)
     assert grid.fills_lattice and not a.factored
-    want = _assembled_csr(grid, order)
-    # the stored diagonals are the CSR assembly's, offsets and data to the bit
+    want = operators._compressed(grid, order)
+    # the stored diagonals are the CSR emitter's, offsets and data to the bit
     dia, want_dia = a.stored, want.todia()
     assert isinstance(dia, sp.dia_array)
     assert np.all(np.diff(dia.offsets) > 0)
@@ -374,7 +410,7 @@ def test_minimize_on_the_diagonal_path_builds_no_csr():
     a = spec.stiffness
     assert not a.factored and isinstance(a.stored, sp.dia_array)
     assert "matrix" not in vars(a)
-    assert _same_csr(a.matrix, _assembled_csr(grid, 4))
+    assert _same_csr(a.matrix, operators._compressed(grid, 4))
 
 
 @pytest.mark.parametrize("spec", [
