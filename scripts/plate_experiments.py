@@ -16,16 +16,12 @@ import membrane_opt as mo
 
 def self_convergence() -> None:
     print("uniform clamped plate, unit square (continuum value ~1294.934)")
-    mus = {}
-    for k in (8, 16, 32):
-        grid = mo.build_grid(mo.square_spec(1.0 / k))
-        stiffness = mo.assemble_stiffness(grid, order=4)
-        pair = mo.first_eigenpair(stiffness, np.ones(grid.node_count))
-        mus[k] = pair.eigenvalue
-        print(f"  h = 1/{k:<3} mu = {pair.eigenvalue:.6f}")
-    d1 = abs(mus[16] - mus[8])
-    d2 = abs(mus[32] - mus[16])
-    print(f"  successive changes {d1:.3f}, {d2:.3f}; ratio {d1 / d2:.2f}")
+    grid = mo.build_grid(mo.square_spec(1.0 / 8))
+    uniform = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=4, exponent=4)
+    steps = mo.ladder(uniform, [1.0 / 8, 1.0 / 16, 1.0 / 32])
+    for h, mu in zip(steps.levels, steps.mus):
+        print(f"  h = 1/{round(1 / h):<3} mu = {mu:.6f}")
+    print(f"  observed order {', '.join(f'{q:.3f}' for q in steps.orders)}")
 
 
 def composite_plate() -> None:

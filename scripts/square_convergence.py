@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Eigenvalue convergence study on the unit square.
 
-Solves the uniform-density problem at a sequence of spacings and prints
-the error against 2 pi^2 with the observed convergence order.
+Solves the uniform-density problem at a sequence of halved spacings with
+``verify.ladder`` and prints the error against 2 pi^2 with the ladder's
+observed convergence order, from successive differences of mu.
 """
 
 import argparse
 import math
-
-import numpy as np
 
 import membrane_opt as mo
 
@@ -19,19 +18,17 @@ def main() -> None:
                         help="number of refinements starting at h = 1/8")
     args = parser.parse_args()
 
+    grid = mo.build_grid(mo.square_spec(1.0 / 8))
+    uniform = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid))
+    steps = mo.ladder(uniform, [1.0 / (8 * 2**level) for level in range(args.levels)])
+
     target = 2.0 * math.pi**2
     print(f"target 2 pi^2 = {target:.10f}")
     print(f"{'h':>8} {'mu':>14} {'error':>12} {'order':>7}")
-    prev_err = None
-    for level in range(args.levels):
-        k = 8 * 2**level
-        grid = mo.build_grid(mo.square_spec(1.0 / k))
-        stiffness = mo.assemble_stiffness(grid)
-        pair = mo.first_eigenpair(stiffness, np.ones(grid.node_count))
-        err = abs(pair.eigenvalue - target)
-        order = f"{math.log2(prev_err / err):.3f}" if prev_err else "-"
-        print(f"   1/{k:<4} {pair.eigenvalue:14.8f} {err:12.3e} {order:>7}")
-        prev_err = err
+    # the order of three successive levels, on the row of the finest
+    orders = ["-", "-"] + [f"{q:.3f}" for q in steps.orders]
+    for h, mu, order in zip(steps.levels, steps.mus, orders):
+        print(f"   1/{round(1 / h):<4} {mu:14.8f} {abs(mu - target):12.3e} {order:>7}")
 
 
 if __name__ == "__main__":

@@ -54,12 +54,14 @@ from .optimizer import (
 )
 from .verify import (
     ContourSet,
+    Ladder,
     OracleResult,
     Polyline,
     RegularityReport,
     count_components,
     enumerate_optimal,
     extract_contour,
+    ladder,
     pure_difference_sup,
     radial_deviation,
     regularity_trend,

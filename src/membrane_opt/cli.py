@@ -25,10 +25,10 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,7 @@ from .verify import (
     check_oracle_input,
     enumerate_optimal,
     extract_contour,
+    ladder,
     regularity_trend,
     sublevel_check,
 )
@@ -209,7 +210,9 @@ class RunConfig:
         curved copy of a flat grid or the flat copy of a curved one."""
         bump = (self.raw["bump_amplitude"] or _CHECK_BUMP) if self.grid.flat else 0.0
         flat_spec = replace(self.grid.spec, background=None)
-        return _at_fraction(self.problem, build_grid(_with_bump(flat_spec, bump)))
+        grid = build_grid(_with_bump(flat_spec, bump))
+        with _naming_key():
+            return self.problem.on_grid(grid)
 
     def trace_header(self) -> dict:
         """Header fields of ``trace.txt``, complete or partial."""
@@ -273,21 +276,15 @@ def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
     return replace(spec, background=_smooth_bump(np.asarray(center), radius, amplitude))
 
 
-def _problem(grid: Grid, **settings) -> ProblemSpec:
-    """``ProblemSpec`` on ``grid``; a rejection names the bump or the mass."""
+@contextmanager
+def _naming_key():
+    """Turn a ``ProblemSpec`` rejection into a ConfigError that names the
+    bump or the mass."""
     try:
-        return ProblemSpec(grid=grid, **settings)
+        yield
     except ValueError as exc:
         key = "bump_amplitude" if "background" in str(exc) else "M"
         raise ConfigError(f"key '{key}': {exc}") from exc
-
-
-def _at_fraction(problem: ProblemSpec, grid: Grid) -> ProblemSpec:
-    """``problem``'s box, order and exponent on ``grid``, at its mass fraction."""
-    fraction = problem.mass / domain_volume(problem.grid)
-    return _problem(grid, rho_min=problem.rho_min, rho_max=problem.rho_max,
-                    mass=fraction * domain_volume(grid), order=problem.order,
-                    exponent=problem.exponent)
 
 
 def parse_config(text: str, subcommand: str | None = None,
@@ -371,8 +368,9 @@ def parse_config(text: str, subcommand: str | None = None,
                           f"got ({lam}, {big_lam})")
     values.update(rho_min=lam, rho_max=big_lam)
 
-    problem = _problem(grid, rho_min=lam, rho_max=big_lam, mass=values["M"],
-                       order=p, exponent=n)
+    with _naming_key():
+        problem = ProblemSpec(grid=grid, rho_min=lam, rho_max=big_lam, mass=values["M"],
+                              order=p, exponent=n)
 
     solver = SolverOptions()
     for key, name in (("eig_tol", "eig_rel_tol"), ("max_power_iterations", "max_iterations")):
@@ -633,7 +631,6 @@ def _run_check(config: RunConfig, out: Path) -> int:
     # config's own problem serves as the flat one on a flat config and as the
     # curved one otherwise, and the flat one also as regularity level 0
     amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
-    flat_spec = replace(config.grid.spec, background=None)
     twin = config._check_twin
     flat_problem, curved_problem = (problem, twin) if config.grid.flat else (twin, problem)
     flat, curved = flat_problem.grid, curved_problem.grid
@@ -669,16 +666,14 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
                "verdict": "PASS" if conformal_ok else "FAIL"})
 
-    # regularity: the flat composite problem at h, h/2, ...; each finer
-    # problem is built when its level is solved and dropped after it
-    finer = (_at_fraction(problem, build_grid(replace(flat_spec, spacing=flat.spacing / 2**k)))
-             for k in range(1, config.check_levels))
-    report = regularity_trend(chain([flat_problem], finer), opts=config.solver,
-                              max_alternations=config.max_alternations)
-    traces += [solution[3] for solution in report.solutions]
+    # regularity: the flat composite problem at h, h/2, ...
+    refined = ladder(flat_problem, [flat.spacing / 2**k for k in range(config.check_levels)],
+                     opts=config.solver, max_alternations=config.max_alternations)
+    report = regularity_trend(refined.solutions)
+    traces += [solution[3] for solution in refined.solutions]
     _write(out / "check_regularity.txt", _report,
            head("second-difference regularity trend"), {
-               "levels": list(report.levels), "sups": list(report.sups),
+               "levels": list(refined.levels), "sups": list(report.sups),
                "ratios": list(report.ratios),
                "verdict": "PASS" if report.bounded() else "FAIL"})
 
@@ -694,7 +689,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
     fields = {"symmetric_axes": list(mirrors)}
     equivariant = True
     if mirrors:
-        density, pair, _, _ = report.solutions[0] if config.grid.flat else curved_run
+        density, pair, _, _ = refined.solutions[0] if config.grid.flat else curved_run
         for axis, perm in mirrors.items():
             reflected = np.empty_like(density.values)
             reflected[perm] = density.values

@@ -7,11 +7,10 @@ bitwise deterministic.  A dense lattice index array, padded by one layer
 on every side, maps every lattice point back to its node (-1 where there
 is none).  A point's place in it is one flat index, its coordinates plus
 one dotted with the array's element strides: the lattice map is one
-scatter at the nodes' flat indices, each slot of the neighbor table
-(built on first use) one gather at those indices plus the slot's
-constant offset, and lookups and reflections go through the same flat
-indices.  Boundary values are never stored: a missing axis neighbor means
-the homogeneous Dirichlet condition applies across that edge.
+scatter at the nodes' flat indices, and lookups, stencil neighbors and
+reflections go through the same flat indices.  Boundary values are never
+stored: a missing axis neighbor means the homogeneous Dirichlet condition
+applies across that edge.
 
 Both per-point inputs are array functions, each called once per grid.  A
 shape is any object with a vectorized ``contains(points)`` that maps the
@@ -33,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -235,7 +233,8 @@ class Grid:
     of Dirichlet-layer points stay in bounds; use ``lookup`` rather than
     indexing it directly.  ``lookup`` takes coordinates within one step of
     the lattice, -1 <= i_k <= lattice_cells[k] + 1, and raises
-    ``ValueError`` on any other.  ``neighbors`` is built on first use.
+    ``ValueError`` on any other; the neighbor of node j along a step s is
+    ``lookup(nodes[j] + s)``.
     """
 
     spec: GridSpec
@@ -276,23 +275,6 @@ class Grid:
         constant offset between node indices."""
         return self.node_count == math.prod(c - 1 for c in self.lattice_cells)
 
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        """The (N, 2d) int64 neighbor table, read-only: one row per node
-        with 2d slots ordered (axis0-, axis0+, axis1-, axis1+, ...), -1
-        marking a missing neighbor, i.e. a homogeneous Dirichlet wall.
-        Built from the lattice on first use, one gather per slot at the
-        nodes' flat indices plus the slot's constant offset, all in bounds
-        because every node and its neighbors lie within the padding; slot
-        by slot, the index temporaries stay one column in size."""
-        flat = _flat_index(self.lattice, self.nodes)
-        steps = neighbor_steps(self.dimension) @ _element_strides(self.lattice)
-        table = np.empty((flat.shape[0], steps.shape[0]), dtype=np.int64)
-        for slot, step in enumerate(steps):
-            table[:, slot] = self.lattice.reshape(-1)[flat + step]
-        table.setflags(write=False)
-        return table
-
     def coordinates(self) -> np.ndarray:
         """Physical node centers, shape (N, d)."""
         coords = self.nodes * self.spacing
@@ -332,7 +314,8 @@ def _flat_index(lattice: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def neighbor_steps(dimension: int) -> np.ndarray:
-    """Integer coordinate offset of each ``neighbors`` slot, shape (2d, d)."""
+    """Integer coordinate step to each of the 2d axis neighbors, shape
+    (2d, d), ordered (axis0-, axis0+, axis1-, axis1+, ...)."""
     unit = np.eye(dimension, dtype=np.int64)
     return np.stack([-unit, unit], axis=1).reshape(2 * dimension, dimension)
 

@@ -118,6 +118,15 @@ class ProblemSpec:
         """Order-``order`` stiffness of ``grid``, assembled once per problem."""
         return assemble_stiffness(self.grid, self.order)
 
+    def on_grid(self, grid: Grid) -> ProblemSpec:
+        """This problem's box, order and exponent on ``grid``, at its mass
+        fraction M / ``domain_volume`` of its own grid: the one rule for
+        "the same problem" on another grid, such as a finer spacing."""
+        fraction = self.mass / domain_volume(self.grid)
+        return ProblemSpec(grid=grid, rho_min=self.rho_min, rho_max=self.rho_max,
+                           mass=fraction * domain_volume(grid), order=self.order,
+                           exponent=self.exponent)
+
 
 def target_high_mass(spec: ProblemSpec) -> float:
     """Background volume the upper density value must occupy to meet the mass.

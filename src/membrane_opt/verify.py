@@ -1,26 +1,30 @@
-"""Independent verification: brute-force optima, level sets, connectivity.
+"""Independent verification: brute-force optima, level sets, connectivity,
+refinement.
 
-Everything here deliberately avoids the production solve path: the
-enumeration oracle uses a dense LAPACK generalized eigensolve, the contour
-extractor runs marching squares over all lattice cells at once from raw
-nodal values, and the connectivity and regularity checks are plain numpy
-computations over the grid's neighbor table.  ``count_components`` is the
-package's one connectivity count of node sets.  ``scipy.linalg`` is
-imported only inside the oracle's dense solve, so the contour export and
-the other checks load numpy alone.  Nothing here formats artifacts; the
-contour table (``contours.csv``) is written by ``cli.contour_csv``.
+Everything here except ``ladder`` deliberately avoids the production solve
+path: the enumeration oracle uses a dense LAPACK generalized eigensolve,
+the contour extractor runs marching squares over all lattice cells at once
+from raw nodal values, and the connectivity and regularity checks are plain
+numpy computations over lattice lookups of shifted nodes.
+``count_components`` is the package's one connectivity count of node sets.
+``ladder`` is its one refinement study: the same problem, under the one
+mass rule ``ProblemSpec.on_grid``, solved at each of a sequence of
+spacings.  ``scipy.linalg`` is imported only inside the oracle's dense
+solve, so the contour export and the other checks load numpy alone.
+Nothing here formats artifacts; the contour table (``contours.csv``) is
+written by ``cli.contour_csv``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from .eigen import SolverOptions
-from .grid import Disk, Grid
+from .grid import Disk, Grid, build_grid
 from .optimizer import (
     DensityField,
     LevelSetPartition,
@@ -31,6 +35,7 @@ from .optimizer import (
 
 __all__ = [
     "ContourSet",
+    "Ladder",
     "OracleCandidate",
     "OracleResult",
     "Polyline",
@@ -39,6 +44,7 @@ __all__ = [
     "count_components",
     "enumerate_optimal",
     "extract_contour",
+    "ladder",
     "pure_difference_sup",
     "radial_deviation",
     "regularity_trend",
@@ -222,20 +228,26 @@ def _node_mask(nodes: Iterable[int] | np.ndarray, grid: Grid) -> np.ndarray:
 def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
     """Connected components of a node set under the 2d-neighbor stencil graph.
 
-    A vectorized union-find over the member pairs along the + slot of each
-    axis.  Every node starts as its own root; each round hooks the larger
-    root of every edge whose ends lie in different trees to the smaller
-    one (``np.minimum.at``), then jumps pointers (``label[label]``) until
-    every node points at its root.  Labels only decrease, so the forest
-    has no cycles, and each round that finds a split edge merges trees.
-    The count is the number of members that are their own root.
+    A vectorized union-find over the member pairs along the + step of each
+    axis, looked up for the members alone.  Every node starts as its own
+    root; each round hooks the larger root of every edge whose ends lie in
+    different trees to the smaller one (``np.minimum.at``), then jumps
+    pointers (``label[label]``) until every node points at its root.
+    Labels only decrease, so the forest has no cycles, and each round that
+    finds a split edge merges trees.  The count is the number of members
+    that are their own root.
     """
     members = _node_mask(nodes, grid)
-    ahead = grid.neighbors[:, 1::2]
-    edge = (ahead >= 0) & members[:, None]
-    edge[edge] = members[ahead[edge]]
-    tail = np.nonzero(edge)[0]
-    head = ahead[edge]
+    inside = np.flatnonzero(members)
+    points = grid.nodes[inside]
+    tails, heads = [], []
+    for step in np.eye(grid.dimension, dtype=np.int64):
+        ahead = grid.lookup(points + step)
+        edge = ahead >= 0
+        edge[edge] = members[ahead[edge]]
+        tails.append(inside[edge])
+        heads.append(ahead[edge])
+    tail, head = np.concatenate(tails), np.concatenate(heads)
     label = np.arange(members.shape[0])
     while True:
         a, b = label[tail], label[head]
@@ -400,58 +412,106 @@ def pure_difference_sup(grid: Grid, values: np.ndarray, order: int = 2) -> float
         raise ValueError("difference order must be 1 or 2")
     v = np.asarray(values, dtype=float)
     h = grid.spacing
+
+    def neighbor(step: np.ndarray) -> np.ndarray:
+        index = grid.lookup(grid.nodes + step)
+        return np.where(index >= 0, v[index], 0.0)
+
     worst = 0.0
-    for ax in range(grid.dimension):
-        minus = grid.neighbors[:, 2 * ax]
-        plus = grid.neighbors[:, 2 * ax + 1]
-        v_minus = np.where(minus >= 0, v[minus], 0.0)
-        v_plus = np.where(plus >= 0, v[plus], 0.0)
+    for step in np.eye(grid.dimension, dtype=np.int64):
+        v_plus = neighbor(step)
         if order == 1:
             worst = max(worst, float(np.max(np.abs(v_plus - v))) / h)
         else:
+            v_minus = neighbor(-step)
             worst = max(worst, float(np.max(np.abs(v_minus - 2.0 * v + v_plus))) / h**2)
     return worst
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Sup of pure second differences per refinement level and their growth;
-    ``solutions`` holds the ``minimize`` result of each level.  ``bounded``
-    holds when every growth ratio is at most 1.5."""
+# ---------------------------------------------------------------------------
+# refinement
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """One problem solved at each spacing in ``levels``: ``solutions`` holds
+    the ``minimize`` result of each level, ``mus`` its eigenvalue."""
 
     levels: tuple[float, ...]
+    solutions: tuple = field(repr=False)
+
+    @property
+    def mus(self) -> tuple[float, ...]:
+        return tuple(solution[1].eigenvalue for solution in self.solutions)
+
+    @property
+    def orders(self) -> tuple[float, ...]:
+        """Observed order of each three successive levels,
+        log(d_k / d_(k+1)) / log(h_k / h_(k+1)) over the differences
+        d_k = mu_(k+1) - mu_k; one fewer than the differences.  Exact for
+        mu_h = mu + C h^q when the ratio h_k / h_(k+1) is constant, an
+        estimate otherwise; nan where successive differences change sign."""
+        h, mu = np.array(self.levels), np.array(self.mus)
+        d = np.diff(mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            orders = np.log(d[:-1] / d[1:]) / np.log(h[:-2] / h[1:-1])
+        return tuple(orders.tolist())
+
+
+def _level(problem: ProblemSpec, h: float) -> ProblemSpec:
+    """``problem`` at spacing h: itself at its own spacing, its grid spec
+    at h under the mass rule otherwise."""
+    if h == problem.grid.spacing:
+        return problem
+    return problem.on_grid(build_grid(replace(problem.grid.spec, spacing=h)))
+
+
+def ladder(problem: ProblemSpec, spacings: Sequence[float],
+           opts: SolverOptions = SolverOptions(),
+           max_alternations: int = 200) -> Ladder:
+    """Solve ``problem`` at each spacing, in the order given, from the
+    uniform density.
+
+    A level at ``problem``'s own spacing is ``problem`` itself, so its
+    stiffness and factor are reused; every other level is ``problem``'s
+    grid spec at that spacing, carried over by ``ProblemSpec.on_grid``,
+    built when it is solved.  Only the ``minimize`` results are kept, so
+    the stiffness and factor of such a level go once it is solved.  On a
+    point box (rho_min = rho_max) each level is one full eigensolve.
+    """
+    levels = tuple(spacings)
+    solutions = tuple(minimize(_level(problem, h), opts=opts,
+                               max_alternations=max_alternations) for h in levels)
+    return Ladder(levels=levels, solutions=solutions)
+
+
+@dataclass(frozen=True)
+class RegularityReport:
+    """Sup of pure second differences per refinement level and their growth.
+    ``bounded`` holds when every growth ratio is at most 1.5."""
+
     sups: tuple[float, ...]
     ratios: tuple[float, ...]
-    solutions: tuple = field(default=(), repr=False, compare=False)
 
     def bounded(self) -> bool:
         return all(r <= _BOUNDED_RATIO for r in self.ratios)
 
 
-def regularity_trend(problems: Iterable[ProblemSpec],
-                     opts: SolverOptions = SolverOptions(),
-                     max_alternations: int = 200) -> RegularityReport:
-    """Solve one problem per refinement level, coarse to fine, and track
-    second differences; each level is its problem's grid spacing.
+def regularity_trend(solutions: Iterable[tuple]) -> RegularityReport:
+    """Second differences of the ``minimize`` result of each refinement
+    level, coarse to fine, such as ``ladder(...).solutions``.
 
     The converged eigenfunction is rescaled to unit sup norm before
-    differencing so levels are comparable.  Bounded growth ratios are the
-    discrete signal of a Lipschitz gradient; a kink profile doubles its
-    ratio at every halving and is caught by the same machinery.  Only the
-    ``minimize`` results are kept, so a problem that the caller no longer
-    holds, such as one from a generator, goes with its stiffness once
-    solved.
+    differencing on its density's grid, so levels are comparable.  Bounded
+    growth ratios are the discrete signal of a Lipschitz gradient; a kink
+    profile doubles its ratio at every halving and is caught by the same
+    machinery.
     """
-    levels, sups, solutions = [], [], []
-    for spec in problems:
-        result = minimize(spec, opts=opts, max_alternations=max_alternations)
-        levels.append(spec.grid.spacing)
-        solutions.append(result)
-        phi = result[1].vector / np.max(np.abs(result[1].vector))
-        sups.append(pure_difference_sup(spec.grid, phi, order=2))
+    sups = []
+    for density, pair, _, _ in solutions:
+        phi = pair.vector / np.max(np.abs(pair.vector))
+        sups.append(pure_difference_sup(density.grid, phi, order=2))
     ratios = tuple(sups[k + 1] / sups[k] for k in range(len(sups) - 1))
-    return RegularityReport(levels=tuple(levels), sups=tuple(sups), ratios=ratios,
-                            solutions=tuple(solutions))
+    return RegularityReport(sups=tuple(sups), ratios=ratios)
 
 
 def radial_deviation(nodes: Iterable[int] | np.ndarray, grid: Grid) -> float:

@@ -77,12 +77,9 @@ def oracle_runs():
 def regularity_report():
     start = time.time()
 
-    def problem_at(h):
-        g = mo.build_grid(mo.square_spec(h))
-        return mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0,
-                              mass=mo.domain_volume(g))
-
-    report = mo.regularity_trend(problem_at(h) for h in [1.0 / 32, 1.0 / 64, 1.0 / 128])
+    g = mo.build_grid(mo.square_spec(1.0 / 32))
+    problem = mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0, mass=mo.domain_volume(g))
+    report = mo.regularity_trend(mo.ladder(problem, [1.0 / 32, 1.0 / 64, 1.0 / 128]).solutions)
     return report, time.time() - start
 
 

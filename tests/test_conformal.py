@@ -29,14 +29,14 @@ def _stereographic(points: np.ndarray) -> np.ndarray:
     return np.log(2.0 / (1.0 + np.sum(points**2, axis=1)))
 
 
-def _uniform_mu(dimension: int, h: float) -> float:
+def _uniform_mus(dimension: int, spacings) -> tuple[float, ...]:
     """First eigenvalue of the order-d problem at rho = 1 on the
-    stereographic unit ball."""
-    grid = mo.build_grid(mo.disk_spec(h, dimension=dimension, background=_stereographic))
+    stereographic unit ball, one per spacing."""
+    grid = mo.build_grid(mo.disk_spec(spacings[0], dimension=dimension,
+                                      background=_stereographic))
     problem = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=dimension,
                              exponent=dimension)
-    weight = mo.assemble_weight(grid, np.ones(grid.node_count))
-    return mo.first_eigenpair(problem.stiffness, weight).eigenvalue
+    return mo.ladder(problem, spacings).mus
 
 
 @pytest.mark.parametrize("dimension, spacings, reference", [
@@ -48,12 +48,12 @@ def _uniform_mu(dimension: int, h: float) -> float:
 ], ids=["laplacian-2d", "paneitz-4d"])
 def test_uniform_density_on_the_stereographic_ball_rises_to_the_round_value(
         dimension, spacings, reference):
-    mus = [_uniform_mu(dimension, h) for h in spacings]
+    mus = _uniform_mus(dimension, spacings)
     assert mus[0] < mus[1] < mus[2] < reference
 
 
 def test_membrane_error_on_the_stereographic_disk_is_first_order():
     # errors 9.2e-2, 5.3e-2, 3.0e-2: the ratio tends to 2 as h halves
-    errors = [HEMISPHERE_LAPLACIAN - _uniform_mu(2, h) for h in (1 / 8, 1 / 16, 1 / 32)]
+    errors = [HEMISPHERE_LAPLACIAN - mu for mu in _uniform_mus(2, (1 / 8, 1 / 16, 1 / 32))]
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert all(1.5 < ratio < 2.5 for ratio in ratios), ratios

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import math
@@ -12,6 +11,14 @@ from hypothesis import strategies as st
 import membrane_opt as mo
 from membrane_opt.cli import grid_csv
 from shapes import Region
+
+
+def _neighbors(g):
+    """(N, 2d) index of each node's axis neighbors, slots ordered (axis0-,
+    axis0+, axis1-, ...), -1 where there is none: lookups of shifted nodes."""
+    unit = np.eye(g.dimension, dtype=np.int64)
+    return np.stack([g.lookup(g.nodes + sign * unit[axis])
+                     for axis in range(g.dimension) for sign in (-1, 1)], axis=1)
 
 
 def test_unit_square_h_half_single_node():
@@ -66,7 +73,7 @@ def test_rebuild_is_bitwise_deterministic():
     a = mo.build_grid(spec)
     b = mo.build_grid(spec)
     assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.neighbors, b.neighbors)
+    assert np.array_equal(_neighbors(a), _neighbors(b))
     assert np.array_equal(a.e2w, b.e2w)
 
 
@@ -91,12 +98,13 @@ def test_mirror_symmetric_shapes_have_mirror_symmetric_nodes(spec):
 
 def test_neighbor_relation_is_symmetric():
     g = mo.build_grid(mo.disk_spec(1.0 / 8))
+    table = _neighbors(g)
     for i in range(g.node_count):
         for slot in range(4):
-            j = g.neighbors[i, slot]
+            j = table[i, slot]
             if j >= 0:
                 back = 2 * (slot // 2) + (1 - slot % 2)
-                assert g.neighbors[j, back] == i
+                assert table[j, back] == i
 
 
 def test_empty_interior_raises_degenerate_domain():
@@ -141,7 +149,7 @@ def test_background_rejected_off_2d():
 def test_four_dimensional_rectangle():
     g = mo.build_grid(mo.square_spec(1.0 / 4, dimension=4))
     assert g.node_count == 3**4
-    assert g.neighbors.shape == (81, 8)
+    assert _neighbors(g).shape == (81, 8)
     assert mo.domain_volume(g) == pytest.approx(81 / 256, rel=1e-14)
 
 
@@ -168,15 +176,6 @@ def test_grid_arrays_are_read_only():
     g = mo.build_grid(mo.square_spec(0.25))
     with pytest.raises(ValueError):
         g.nodes[0, 0] = 7
-
-
-def test_neighbor_table_is_built_once_on_first_use():
-    g = mo.build_grid(mo.disk_spec(1.0 / 8))
-    assert "neighbors" not in vars(g)
-    table = g.neighbors
-    assert g.neighbors is table and not table.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.neighbors = table.copy()
 
 
 @pytest.mark.parametrize("dimension", [2, 4])
@@ -243,11 +242,9 @@ def _reference_components(members):
 def _check_against_reference(g, member_flags):
     d = g.dimension
     cells, nodes = _reference_nodes(g.spec)
-    # verify slices neighbors by slot, so layout and dtype are part of the contract
     assert g.nodes.shape == (len(nodes), d)
-    assert g.neighbors.shape == (len(nodes), 2 * d)
     assert g.lattice.shape == tuple(n + 3 for n in cells)
-    for arr in (g.nodes, g.neighbors, g.lattice):
+    for arr in (g.nodes, g.lattice):
         assert arr.dtype == np.int64
         assert arr.flags.c_contiguous
         assert not arr.flags.writeable
@@ -260,7 +257,7 @@ def _check_against_reference(g, member_flags):
     assert np.array_equal(g.lattice, lattice)
     expected = [[index.get(_shifted(point, axis, step), -1)
                  for axis in range(d) for step in (-1, 1)] for point in nodes]
-    assert g.neighbors.tolist() == expected
+    assert _neighbors(g).tolist() == expected
     # every coordinate within one step of the lattice, lookup's documented range
     points = list(itertools.product(*(range(-1, n + 2) for n in cells)))
     assert g.lookup(points).tolist() == [index.get(point, -1) for point in points]

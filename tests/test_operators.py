@@ -216,14 +216,18 @@ def test_assemble_stiffness_validates_order():
 
 # ---------------------------------------------------------------------------
 # the assembly against references built outside ``operators``: COO triplets
-# from the neighbor table for order 2, the symbolic oracle for order 4
+# from lookups of the shifted nodes for order 2, the symbolic oracle for
+# order 4
 
 def _coo_laplacian(grid):
     """Integer-unit Laplacian through COO triplets, duplicates summed."""
     n = grid.node_count
-    src, slot = np.nonzero(grid.neighbors >= 0)
+    unit = np.eye(grid.dimension, dtype=np.int64)
+    neighbors = np.stack([grid.lookup(grid.nodes + s) for s in np.concatenate([-unit, unit])],
+                         axis=1)
+    src, slot = np.nonzero(neighbors >= 0)
     rows = np.concatenate([np.arange(n), src])
-    cols = np.concatenate([np.arange(n), grid.neighbors[src, slot]])
+    cols = np.concatenate([np.arange(n), neighbors[src, slot]])
     data = np.concatenate([np.full(n, 2.0 * grid.dimension), np.full(src.shape[0], -1.0)])
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()

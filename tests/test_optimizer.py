@@ -82,6 +82,25 @@ def test_infeasible_mass_raises():
         mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=0.1 * vol)
 
 
+def test_on_grid_carries_box_order_exponent_and_mass_fraction():
+    coarse = mo.build_grid(mo.disk_spec(1.0 / 8))
+    fine = mo.build_grid(mo.disk_spec(1.0 / 16))
+    spec = mo.ProblemSpec(grid=coarse, rho_min=0.25, rho_max=4.0, mass=2.0, order=4,
+                          exponent=4)
+    moved = spec.on_grid(fine)
+    assert moved.grid is fine
+    assert (moved.rho_min, moved.rho_max, moved.order, moved.exponent) == (0.25, 4.0, 4, 4)
+    assert moved.mass == 2.0 / mo.domain_volume(coarse) * mo.domain_volume(fine)
+    # M = |Omega_h| on a point box stays the discrete volume, to the bit
+    point = mo.ProblemSpec(grid=coarse, rho_min=1.0, rho_max=1.0,
+                           mass=mo.domain_volume(coarse))
+    assert point.on_grid(fine).mass == mo.domain_volume(fine)
+    # the rule keeps every ProblemSpec check: order 4 needs p = d on a curved grid
+    curved = mo.build_grid(mo.disk_spec(1.0 / 8, background=lambda p: 0.1 * p[:, 0]))
+    with pytest.raises(ValueError, match="p = d"):
+        spec.on_grid(curved)
+
+
 # ---------------------------------------------------------------------------
 # bathtub rearrangement
 

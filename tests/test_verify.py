@@ -2,6 +2,7 @@ import io
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,18 +321,16 @@ def test_pure_difference_sup_validates_order():
 
 
 def test_regularity_trend_smooth_problem():
-    def problem_at(h):
-        g = mo.build_grid(mo.square_spec(h))
-        lo, hi = mo.conformal_bounds(0.0)
-        return mo.ProblemSpec(grid=g, rho_min=lo, rho_max=hi, mass=mo.domain_volume(g))
-
-    report = mo.regularity_trend(problem_at(h) for h in [1.0 / 8, 1.0 / 16, 1.0 / 32])
+    g = mo.build_grid(mo.square_spec(1.0 / 8))
+    lo, hi = mo.conformal_bounds(0.0)
+    problem = mo.ProblemSpec(grid=g, rho_min=lo, rho_max=hi, mass=mo.domain_volume(g))
+    report = mo.regularity_trend(mo.ladder(problem, [1.0 / 8, 1.0 / 16, 1.0 / 32]).solutions)
     assert report.bounded()
     assert all(abs(r - 1.0) <= 0.2 for r in report.ratios)
 
 
 def test_regularity_trend_drops_each_level_with_its_stiffness(monkeypatch):
-    # the report keeps the solutions, not the problems, so the stiffness (and
+    # the ladder keeps the solutions, not the problems, so the stiffness (and
     # its factor) of each level goes once the level is solved
     refs = []
     assemble = optimizer.assemble_stiffness
@@ -342,16 +341,47 @@ def test_regularity_trend_drops_each_level_with_its_stiffness(monkeypatch):
         return stiffness
     monkeypatch.setattr(optimizer, "assemble_stiffness", recorded)
 
-    def problems():
-        for h in (1.0 / 8, 1.0 / 16):
-            g = mo.build_grid(mo.square_spec(h))
-            yield mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0,
-                                 mass=mo.domain_volume(g))
+    def coarsest():
+        g = mo.build_grid(mo.square_spec(1.0 / 8))
+        return mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=mo.domain_volume(g))
 
-    report = mo.regularity_trend(problems())
-    assert report.levels == (1.0 / 8, 1.0 / 16)
+    steps = mo.ladder(coarsest(), [1.0 / 8, 1.0 / 16])
+    report = mo.regularity_trend(steps.solutions)
+    assert steps.levels == (1.0 / 8, 1.0 / 16) and len(report.sups) == 2
     assert len(refs) == 2
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_ladder_on_a_point_box_is_the_uniform_eigenvalue_per_level():
+    # rho_min = rho_max: each level is one full eigensolve, bit for bit the
+    # uniform-weight solve; mus 19.48684, 19.67587, 19.72336, whose
+    # differences shrink by 3.98
+    spacings = (1.0 / 8, 1.0 / 16, 1.0 / 32)
+    g = mo.build_grid(mo.square_spec(spacings[0]))
+    steps = mo.ladder(mo.ProblemSpec(g, 1.0, 1.0, mo.domain_volume(g)), spacings)
+    expected = []
+    for h in spacings:
+        grid = mo.build_grid(mo.square_spec(h))
+        stiffness = mo.assemble_stiffness(grid)
+        expected.append(mo.first_eigenpair(stiffness, np.ones(grid.node_count)).eigenvalue)
+    assert steps.levels == spacings
+    assert steps.mus == tuple(expected)
+    assert [len(solution[3]) for solution in steps.solutions] == [1, 1, 1]
+    assert len(steps.orders) == 1
+    assert all(abs(q - 2.0) <= 0.05 for q in steps.orders), steps.orders
+
+
+def test_ladder_orders_are_exact_for_a_power_law_at_a_constant_ratio():
+    def fake(levels, exponent):
+        mus = [3.0 + 5.0 * h**exponent for h in levels]
+        solutions = tuple((None, SimpleNamespace(eigenvalue=mu), None, None) for mu in mus)
+        return mo.Ladder(levels=tuple(levels), solutions=solutions)
+
+    assert fake([1.0 / 2**k for k in range(1, 5)], 2).orders == pytest.approx([2.0, 2.0])
+    assert fake([1.0 / 3**k for k in range(4)], 1).orders == pytest.approx([1.0, 1.0])
+    # at a varying ratio the same arithmetic is only an estimate
+    assert fake([1.0 / 4, 1.0 / 5, 1.0 / 6], 2).orders[0] != pytest.approx(2.0)
+    assert fake([1.0 / 8, 1.0 / 16], 2).orders == ()
 
 
 # ---------------------------------------------------------------------------
