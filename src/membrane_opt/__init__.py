@@ -65,6 +65,8 @@ from .verify import (
     pure_difference_sup,
     radial_deviation,
     regularity_trend,
+    round_hemisphere,
+    stereographic,
     sublevel_check,
 )
 

@@ -9,7 +9,7 @@ its parser and default; the parsed table, with the density box in place of
             partition, contours, and PGM images
     oracle  brute-force enumeration cross-checked against multi-start
     sweep   one seeded run per seed, a single CSV row each
-    check   conformal-invariance, regularity, and symmetry reports
+    check   round-hemisphere conformal, regularity, and symmetry reports
     plate   order-4 (clamped bilaplacian) run with the solve export set
 
 Exit codes: 0 success, 1 input or usage error, 2 solver non-convergence.
@@ -25,10 +25,8 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +41,6 @@ from .grid import (
     box_spec,
     build_grid,
     disk_spec,
-    domain_volume,
     dumbbell_spec,
     mirror_permutation,
     square_spec,
@@ -66,15 +63,13 @@ from .verify import (
     extract_contour,
     ladder,
     regularity_trend,
+    round_hemisphere,
     sublevel_check,
 )
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
 
 SUBCOMMANDS = ("solve", "oracle", "sweep", "check", "plate")
-
-# background bump of the curved run in check on a flat config
-_CHECK_BUMP = 0.3
 
 
 class ConfigError(ValueError):
@@ -204,16 +199,6 @@ class RunConfig:
             f"rho_min={self.problem.rho_min!r} rho_max={self.problem.rho_max!r} M={self.problem.mass!r} p={self.problem.order}",
         ]
 
-    @cached_property
-    def _check_twin(self) -> ProblemSpec:
-        """The problem of ``check``'s conformal report on the other grid, the
-        curved copy of a flat grid or the flat copy of a curved one."""
-        bump = (self.raw["bump_amplitude"] or _CHECK_BUMP) if self.grid.flat else 0.0
-        flat_spec = replace(self.grid.spec, background=None)
-        grid = build_grid(_with_bump(flat_spec, bump))
-        with _naming_key():
-            return self.problem.on_grid(grid)
-
     def trace_header(self) -> dict:
         """Header fields of ``trace.txt``, complete or partial."""
         return {
@@ -274,17 +259,6 @@ def _with_bump(spec: GridSpec, amplitude: float) -> GridSpec:
         raise ConfigError("key 'bump_amplitude': not supported on "
                           f"{type(spec.shape).__name__.lower()}")
     return replace(spec, background=_smooth_bump(np.asarray(center), radius, amplitude))
-
-
-@contextmanager
-def _naming_key():
-    """Turn a ``ProblemSpec`` rejection into a ConfigError that names the
-    bump or the mass."""
-    try:
-        yield
-    except ValueError as exc:
-        key = "bump_amplitude" if "background" in str(exc) else "M"
-        raise ConfigError(f"key '{key}': {exc}") from exc
 
 
 def parse_config(text: str, subcommand: str | None = None,
@@ -368,9 +342,12 @@ def parse_config(text: str, subcommand: str | None = None,
                           f"got ({lam}, {big_lam})")
     values.update(rho_min=lam, rho_max=big_lam)
 
-    with _naming_key():
+    try:
         problem = ProblemSpec(grid=grid, rho_min=lam, rho_max=big_lam, mass=values["M"],
                               order=p, exponent=n)
+    except ValueError as exc:
+        key = "bump_amplitude" if "background" in str(exc) else "M"
+        raise ConfigError(f"key '{key}': {exc}") from exc
 
     solver = SolverOptions()
     for key, name in (("eig_tol", "eig_rel_tol"), ("max_power_iterations", "max_iterations")):
@@ -392,18 +369,7 @@ def parse_config(text: str, subcommand: str | None = None,
             raise ConfigError(str(exc)) from exc
 
     settings = {f.name: values[f.name] for f in fields(RunConfig) if f.name in values}
-    config = RunConfig(problem=problem, solver=solver, raw=values, **settings)
-    if sub == "check":
-        if values["bump_amplitude"] != 0.0 and grid.flat:
-            # the curved twin would take the same amplitude, flat too, and the
-            # conformal report would compare the flat grid with itself
-            raise ConfigError(f"key 'bump_amplitude': {values['bump_amplitude']!r} "
-                              "leaves every node weight e^(dw) at 1.0")
-        try:
-            config._check_twin  # built now, so that it fails before any output
-        except ValueError as exc:
-            raise ConfigError(f"check needs a curved background: {exc}") from exc
-    return config
+    return RunConfig(problem=problem, solver=solver, raw=values, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -627,50 +593,23 @@ def _run_check(config: RunConfig, out: Path) -> int:
     head = config.header_lines
     problem = config.problem
 
-    # conformal invariance: bump background against its flat reweighting; the
-    # config's own problem serves as the flat one on a flat config and as the
-    # curved one otherwise, and the flat one also as regularity level 0
-    amplitude = config.raw["bump_amplitude"] or _CHECK_BUMP
-    twin = config._check_twin
-    flat_problem, curved_problem = (problem, twin) if config.grid.flat else (twin, problem)
-    flat, curved = flat_problem.grid, curved_problem.grid
-    # measured on the config's own grid, lam <= fraction <= Lam, so every
-    # problem here is feasible
-    fraction = problem.mass / domain_volume(config.grid)
-    a_curved, a_flat = curved_problem.stiffness, flat_problem.stiffness
-    bit_identical = all(np.array_equal(getattr(a_curved.matrix, k), getattr(a_flat.matrix, k))
-                        for k in ("indptr", "indices", "data"))
-
-    rho_uniform = np.full(curved.node_count, fraction)
-    w_curved = assemble_weight(curved, rho_uniform)
-    w_flat = assemble_weight(flat, rho_uniform * curved.e2w)
-    weight_rel = float(np.max(np.abs(w_curved - w_flat) / np.abs(w_curved)))
-
-    mu_curved = first_eigenpair(a_curved, w_curved, config.solver).eigenvalue
-    mu_flat = first_eigenpair(a_flat, w_flat, config.solver).eigenvalue
-    uniform_rel = abs(mu_curved - mu_flat) / abs(mu_flat)
-
-    curved_run = minimize(curved_problem, opts=config.solver,
-                          max_alternations=config.max_alternations)
-    density, pair, _, curved_trace = curved_run
-    traces = [curved_trace]
-    mu_reweighted = first_eigenpair(
-        a_flat, assemble_weight(flat, density.values * curved.e2w),
-        config.solver).eigenvalue
-    converged_rel = abs(pair.eigenvalue - mu_reweighted) / abs(mu_reweighted)
-
-    conformal_ok = bit_identical and uniform_rel <= 1e-12 and converged_rel <= 1e-12
+    # conformal: the stereographic disk against the round hemisphere
+    hemisphere = round_hemisphere(opts=config.solver,
+                                  max_alternations=config.max_alternations)
+    fields = {"levels": list(hemisphere["uniform"].ladder.levels)}
+    for name, study in hemisphere.items():
+        fields.update({f"{name}_{key}": value for key, value in (
+            ("reference", study.reference), ("mus", list(study.ladder.mus)),
+            ("errors", list(study.errors)), ("ratios", list(study.ratios)))})
+    first_order = all(study.first_order() for study in hemisphere.values())
+    fields["verdict"] = "PASS" if first_order else "FAIL"
     _write(out / "check_conformal.txt", _report,
-           head("conformal invariance check") + [f"bump_amplitude={amplitude!r}"], {
-               "stiffness_bit_identical": bit_identical, "weight_max_rel_diff": weight_rel,
-               "mu_uniform_rel_diff": uniform_rel, "mu_converged_rel_diff": converged_rel,
-               "verdict": "PASS" if conformal_ok else "FAIL"})
+           head("conformal check: stereographic disk against the round hemisphere"), fields)
 
-    # regularity: the flat composite problem at h, h/2, ...
-    refined = ladder(flat_problem, [flat.spacing / 2**k for k in range(config.check_levels)],
+    # regularity: the config's problem at h, h/2, ...
+    refined = ladder(problem, [config.grid.spacing / 2**k for k in range(config.check_levels)],
                      opts=config.solver, max_alternations=config.max_alternations)
     report = regularity_trend(refined.solutions)
-    traces += [solution[3] for solution in refined.solutions]
     _write(out / "check_regularity.txt", _report,
            head("second-difference regularity trend"), {
                "levels": list(refined.levels), "sups": list(report.sups),
@@ -678,8 +617,7 @@ def _run_check(config: RunConfig, out: Path) -> int:
                "verdict": "PASS" if report.bounded() else "FAIL"})
 
     # symmetry: reflected converged densities give the same eigenvalue; the
-    # solution of the config's own problem is regularity level 0 on a flat
-    # config and the curved run otherwise
+    # solution of the config's own problem is regularity level 0
     mirrors = {}
     for axis in range(config.grid.dimension):
         try:
@@ -688,20 +626,21 @@ def _run_check(config: RunConfig, out: Path) -> int:
             pass
     fields = {"symmetric_axes": list(mirrors)}
     equivariant = True
-    if mirrors:
-        density, pair, _, _ = refined.solutions[0] if config.grid.flat else curved_run
-        for axis, perm in mirrors.items():
-            reflected = np.empty_like(density.values)
-            reflected[perm] = density.values
-            mu_ref = first_eigenpair(
-                problem.stiffness, assemble_weight(config.grid, reflected),
-                config.solver).eigenvalue
-            rel = abs(mu_ref - pair.eigenvalue) / abs(pair.eigenvalue)
-            fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel
-            equivariant = equivariant and rel <= 1e-10
+    density, pair, _, _ = refined.solutions[0]
+    for axis, perm in mirrors.items():
+        reflected = np.empty_like(density.values)
+        reflected[perm] = density.values
+        mu_ref = first_eigenpair(
+            problem.stiffness, assemble_weight(config.grid, reflected),
+            config.solver).eigenvalue
+        rel = abs(mu_ref - pair.eigenvalue) / abs(pair.eigenvalue)
+        fields[f"axis_{axis}_reflected_mu_rel_diff"] = rel
+        equivariant = equivariant and rel <= 1e-10
     fields["verdict"] = "PASS" if equivariant else "FAIL"
     _write(out / "check_symmetry.txt", _report, head("mirror symmetry check"), fields)
 
+    ladders = [study.ladder for study in hemisphere.values()] + [refined]
+    traces = [solution[3] for each in ladders for solution in each.solutions]
     return _finish(out, config, traces, "checks written")
 
 

@@ -1,7 +1,7 @@
 """Independent verification: brute-force optima, level sets, connectivity,
-refinement.
+refinement, the round hemisphere.
 
-Everything here except ``ladder`` deliberately avoids the production solve
+Everything here except the ladders deliberately avoids the production solve
 path: the enumeration oracle uses a dense LAPACK generalized eigensolve,
 the contour extractor runs marching squares over all lattice cells at once
 from raw nodal values, and the connectivity and regularity checks are plain
@@ -9,7 +9,9 @@ numpy computations over lattice lookups of shifted nodes.
 ``count_components`` is the package's one connectivity count of node sets.
 ``ladder`` is its one refinement study: the same problem, under the one
 mass rule ``ProblemSpec.on_grid``, solved at each of a sequence of
-spacings.  ``scipy.linalg`` is imported only inside the oracle's dense
+spacings.  ``round_hemisphere`` is its one conformal check: two ladders on
+the ``stereographic`` disk against eigenvalues of the round metric.
+``scipy.linalg`` is imported only inside the oracle's dense
 solve, so the contour export and the other checks load numpy alone.
 Nothing here formats artifacts; the contour table (``contours.csv``) is
 written by ``cli.contour_csv``.
@@ -24,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .eigen import SolverOptions
-from .grid import Disk, Grid, build_grid
+from .grid import Disk, Grid, build_grid, disk_spec, domain_volume
 from .optimizer import (
     DensityField,
     LevelSetPartition,
@@ -35,6 +37,7 @@ from .optimizer import (
 
 __all__ = [
     "ContourSet",
+    "HemisphereLadder",
     "Ladder",
     "OracleCandidate",
     "OracleResult",
@@ -48,6 +51,8 @@ __all__ = [
     "pure_difference_sup",
     "radial_deviation",
     "regularity_trend",
+    "round_hemisphere",
+    "stereographic",
     "sublevel_check",
 ]
 
@@ -482,6 +487,59 @@ def ladder(problem: ProblemSpec, spacings: Sequence[float],
     solutions = tuple(minimize(_level(problem, h), opts=opts,
                                max_alternations=max_alternations) for h in levels)
     return Ladder(levels=levels, solutions=solutions)
+
+
+# spacings of the round-hemisphere ladders; the finest disk has 3205 nodes
+HEMISPHERE_SPACINGS = (1 / 8, 1 / 16, 1 / 32)
+# first eigenvalue on the round 2-hemisphere of the composite membrane at box
+# (1/4, 4) and mean density 1.  Its high set is the polar cap of area 2 pi / 5,
+# cos t > 4/5 (stereographic radius 1/3), and mu is the first root of
+# u(pi/2) = 0 for the regular solution of u'' + cot(t) u' + mu rho u = 0,
+# u'(0) = 0, rho = 4 on the cap and 1/4 off it (shooting in the round metric)
+HEMISPHERE_COMPOSITE = 0.8680037457129489
+
+
+def stereographic(points: np.ndarray) -> np.ndarray:
+    """Background w = log(2 / (1 + |x|^2)): the unit ball is a round hemisphere."""
+    return np.log(2.0 / (1.0 + np.sum(points**2, axis=1)))
+
+
+@dataclass(frozen=True, eq=False)
+class HemisphereLadder:
+    """A ``ladder`` on the stereographic disk, its problem's first eigenvalue
+    on the round hemisphere, the ``errors`` reference - mu and their ratios."""
+
+    ladder: Ladder
+    reference: float
+
+    @property
+    def errors(self) -> tuple[float, ...]:
+        return tuple(self.reference - mu for mu in self.ladder.mus)
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        return tuple(coarse / fine for coarse, fine in zip(self.errors, self.errors[1:]))
+
+    def first_order(self) -> bool:
+        """Every error positive, every ratio in (1.5, 2.5): first order from below."""
+        return min(self.errors) > 0.0 and all(1.5 < r < 2.5 for r in self.ratios)
+
+
+def round_hemisphere(spacings: Sequence[float] = HEMISPHERE_SPACINGS,
+                     opts: SolverOptions = SolverOptions(),
+                     max_alternations: int = 200) -> dict[str, HemisphereLadder]:
+    """The ``"uniform"`` (box (1, 1)) and ``"composite"`` (box (1/4, 4))
+    membranes on the stereographic unit disk, each a ``ladder`` against its
+    value on the round hemisphere, at mean density 1 (M the ``domain_volume``
+    of the coarsest disk): a check of the weight rho e^(2w), the background
+    measure and the mass rule.  Each mu rises to the reference from below."""
+    grid = build_grid(disk_spec(spacings[0], background=stereographic))
+    mass = domain_volume(grid)
+    # uniform: P_1(cos t) = cos t vanishes on the equator, so mu_1 = 1 (1 + 1)
+    problems = {"uniform": (ProblemSpec(grid, 1.0, 1.0, mass), 2.0),
+                "composite": (ProblemSpec(grid, 0.25, 4.0, mass), HEMISPHERE_COMPOSITE)}
+    return {name: HemisphereLadder(ladder(spec, spacings, opts, max_alternations), mu)
+            for name, (spec, mu) in problems.items()}
 
 
 @dataclass(frozen=True)

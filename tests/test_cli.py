@@ -264,32 +264,28 @@ def test_oracle_input_errors_exit_1_without_output(tmp_path, capsys, text, match
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, match", [
-    ("shape = dumbbell\nh = 1/16\nA = 0.69\nM = 1.5\n", "not supported on dumbbell"),
-    ("shape = annulus\nr_in = 0.5\nr_out = 1\nh = 1/8\nA = 0.69\nM = 2\n",
-     "not supported on annulus"),
-    ("shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n",
-     "check needs a curved background: key 'bump_amplitude': a curved background "
-     "needs operator order p = d, got p = 2 in d = 3"),
-    ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
-     "bump_amplitude = 1e-20\ncheck_levels = 2\n",
-     "key 'bump_amplitude': 1e-20 leaves every node weight e^(dw) at 1.0"),
-])
-def test_check_input_errors_exit_1_without_output(tmp_path, capsys, text, match):
-    # the conformal report of check needs a curved copy of the problem, which
-    # its order 2 allows only in 2D, and a bump that curves the grid at all
+@pytest.mark.parametrize("text", [
+    "shape = dumbbell\nh = 1/16\nA = 0.69\nM = 1.5\n",
+    "shape = annulus\nr_in = 0.5\nr_out = 1\nh = 1/8\nA = 0.69\nM = 2\n",
+    "shape = square\nd = 3\nh = 1/4\nA = 0.69\nM = 0.4\n",
+    "shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
+    "bump_amplitude = 1e-20\ncheck_levels = 2\n",
+], ids=["dumbbell", "annulus", "d3", "tiny-bump"])
+def test_check_runs_on_configs_without_a_curved_copy(tmp_path, text):
+    # the conformal report solves the stereographic disk, not a curved copy
+    # of the config's problem, so check takes shapes that no bump curves, any
+    # d, and a bump that leaves every weight e^(dw) at 1
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and match in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not out.exists()
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("check_conformal.txt", "check_regularity.txt", "check_symmetry.txt"):
+        assert "\nverdict = " in (out / name).read_text(), name
+    assert "status = ok" in (out / "status.txt").read_text().splitlines()
 
 
 def test_module_entry_point_prints_one_error_line(tmp_path):
     # `python -m membrane_opt.cli` must not import the module a second time
-    cfg = _write_cfg(tmp_path, SYMMETRIC_DUMBBELL)
+    cfg = _write_cfg(tmp_path, SYMMETRIC_DUMBBELL + "check_levels = 1\n")
     env = {**os.environ, "PYTHONPATH": str(Path(mo.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "membrane_opt.cli", "check", "--config", cfg],
@@ -382,8 +378,12 @@ def test_check_subcommand_reports(tmp_path):
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
-    conformal = (out / "check_conformal.txt").read_text()
-    assert "stiffness_bit_identical = True" in conformal
+    conformal = (out / "check_conformal.txt").read_text().splitlines()
+    assert "levels = [0.125, 0.0625, 0.03125]" in conformal
+    assert "uniform_reference = 2.0" in conformal
+    assert "composite_reference = 0.8680037457129489" in conformal
+    for field in ("mus", "errors", "ratios"):
+        assert sum(line.split(" = ")[0].endswith("_" + field) for line in conformal) == 2
     assert "verdict = PASS" in conformal
     regularity = (out / "check_regularity.txt").read_text()
     assert "ratios" in regularity
@@ -392,18 +392,29 @@ def test_check_subcommand_reports(tmp_path):
     assert "verdict = PASS" in symmetry
 
 
+# node counts of the stereographic disk at h = 1/8, 1/16, 1/32, once for the
+# uniform and once for the composite problem of the conformal report
+HEMISPHERE_SOLVES = [193, 793, 3205] * 2
+
+
 def _check_minimize_calls(tmp_path, monkeypatch, text):
-    """Node counts of the problems that a ``check`` run hands to ``minimize``."""
+    """The problems that a ``check`` run hands to ``minimize``, in order:
+    "own" for the config's own problem, the node count for any other."""
     from membrane_opt import cli, verify
 
-    calls = []
+    calls, configs = [], []
+
+    def parsed(*args, **kwargs):
+        configs.append(parse_config(*args, **kwargs))
+        return configs[-1]
 
     def counted(minimize):
         def wrapper(spec, *args, **kwargs):
-            calls.append(spec.grid.node_count)
+            calls.append("own" if spec is configs[0].problem else spec.grid.node_count)
             return minimize(spec, *args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(cli, "parse_config", parsed)
     monkeypatch.setattr(cli, "minimize", counted(cli.minimize))
     monkeypatch.setattr(verify, "minimize", counted(verify.minimize))
     cfg = _write_cfg(tmp_path, text)
@@ -414,18 +425,58 @@ def _check_minimize_calls(tmp_path, monkeypatch, text):
 
 
 def test_check_solves_the_flat_problem_once(tmp_path, monkeypatch):
-    # configs/square.cfg with two levels: the curved run, regularity at h and
-    # h/2, and the symmetry check, which reuses the flat level-0 solution
+    # configs/square.cfg with two levels: the six hemisphere levels, then
+    # regularity at h, the config's own problem, whose solution the symmetry
+    # check reuses, and at h/2
     text = (Path(__file__).resolve().parents[1] / "configs" / "square.cfg").read_text()
     calls = _check_minimize_calls(tmp_path, monkeypatch, text + "check_levels = 2\n")
-    assert calls == [3969, 3969, 16129]
+    assert calls == HEMISPHERE_SOLVES + ["own", 16129]
 
 
 def test_check_solves_the_curved_problem_once(tmp_path, monkeypatch):
-    # on a curved config the curved run solves the config's own problem and
-    # also serves the symmetry check; regularity solves the flat disk at h
-    # and h/2
-    assert _check_minimize_calls(tmp_path, monkeypatch, CURVED_DISK) == [193, 193, 793]
+    # on a curved config regularity refines the curved problem itself; its
+    # 193 nodes are as many as the coarsest stereographic disk has
+    calls = _check_minimize_calls(tmp_path, monkeypatch, CURVED_DISK)
+    assert calls == HEMISPHERE_SOLVES + ["own", 793]
+
+
+def _half_background(monkeypatch):
+    # w / 2 for the stereographic w: e^w in place of e^(2w)
+    from membrane_opt import verify
+
+    stereographic = verify.stereographic
+    monkeypatch.setattr(verify, "stereographic", lambda points: stereographic(points) / 2.0)
+
+
+def _flat_cell_volumes(monkeypatch):
+    # h^d without the conformal factor e^(2w)
+    monkeypatch.setattr(mo.Grid, "cell_volumes", property(
+        lambda grid: np.full(grid.node_count, grid.spacing**grid.dimension)))
+
+
+def _unweighted(monkeypatch):
+    # the eigenproblem weight rho in place of rho e^(2w)
+    from membrane_opt import optimizer
+
+    monkeypatch.setattr(optimizer, "assemble_weight",
+                        lambda grid, rho: np.asarray(rho, dtype=float))
+
+
+@pytest.mark.parametrize("mutate, verdict", [
+    (None, "PASS"), (_half_background, "FAIL"), (_flat_cell_volumes, "FAIL"),
+    (_unweighted, "FAIL"),
+], ids=["unmutated", "half-background", "flat-cell-volumes", "unweighted"])
+def test_check_conformal_report_fails_under_each_conformal_mutation(tmp_path, monkeypatch,
+                                                                   mutate, verdict):
+    # the flat-cell-volume mutation leaves the uniform ladder unchanged (a
+    # point box has no mass to place) and shows in the composite one alone
+    if mutate is not None:
+        mutate(monkeypatch)
+    cfg = _write_cfg(tmp_path, CURVED_DISK)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "check_conformal.txt").read_text().splitlines()
+    assert f"verdict = {verdict}" in report
 
 
 FLAT_SQUARE_CHECK = ("shape = square\nh = 1/16\nA = 0.6931471805599453\n"
@@ -450,39 +501,45 @@ def test_report_subcommands_exit_2_when_a_run_hits_the_cap(tmp_path, subcommand,
         assert (out / name).exists(), name
 
 
-@pytest.mark.parametrize("text, nodes, builds, assemblies", [
-    (FLAT_SQUARE_CHECK, 225, 2, 2),
+@pytest.mark.parametrize("text, finer", [
+    (FLAT_SQUARE_CHECK, 961),
     ("shape = disk\nradius = 1\nh = 1/8\nA = 0.6931471805599453\nM = 3.0\n"
-     "bump_amplitude = 0.3\ncheck_levels = 2\n", 193, 2, 2),
+     "bump_amplitude = 0.3\ncheck_levels = 2\n", 793),
 ], ids=["flat-square", "curved-disk"])
 def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypatch, text,
-                                                            nodes, builds, assemblies):
-    # the config's own grid is the flat grid on a flat config and the curved
-    # one otherwise, and the config's own problem is the flat or the curved
-    # problem on it; each problem assembles its stiffness once, so the curved
-    # and flat stiffness, which the conformal report compares, are one
-    # assembly each
-    from membrane_opt import optimizer
+                                                            finer):
+    # the config's grid is built once, when the config is parsed, and its
+    # problem assembles its stiffness once; the hemisphere's uniform and
+    # composite problems share the coarsest stereographic disk, which has as
+    # many nodes as the curved config disk, and assemble once each per level
+    from membrane_opt import optimizer, verify
 
-    built, assembled = [], []
+    built, cli_built, assembled = [], [], []
 
-    def counted(fn, log, size):
+    def counted(fn, log):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            log.append(size(result))
+            log.append(result)
             return result
         return wrapper
 
-    monkeypatch.setattr(cli, "build_grid",
-                        counted(cli.build_grid, built, lambda grid: grid.node_count))
-    monkeypatch.setattr(optimizer, "assemble_stiffness",
-                        counted(optimizer.assemble_stiffness, assembled,
-                                lambda stiffness: stiffness.shape[0]))
+    assemble_stiffness = optimizer.assemble_stiffness
+
+    def assembles(grid, *args, **kwargs):
+        assembled.append(grid)
+        return assemble_stiffness(grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_grid", counted(cli.build_grid, cli_built))
+    monkeypatch.setattr(verify, "build_grid", counted(verify.build_grid, built))
+    monkeypatch.setattr(optimizer, "assemble_stiffness", assembles)
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
-    assert built.count(nodes) == builds
-    assert assembled.count(nodes) == assemblies
+    [own] = cli_built
+    assert [grid.node_count for grid in built] == [193, 793, 3205, 793, 3205, finer]
+    assert ["own" if grid is own else grid.node_count for grid in assembled] == \
+        [193, 793, 3205] * 2 + ["own", finer]
+    assert assembled[0] is assembled[3] is built[0]
 
 
 def test_pgm_dimensions(tmp_path):
@@ -533,7 +590,9 @@ def test_symmetric_dumbbell_solves_at_default_settings(tmp_path):
 
 def test_check_measures_the_mass_fraction_on_the_config_grid(tmp_path):
     # M = 14 fits the box on the config's curved disk (weighted volume 3.96,
-    # so M <= 15.84) but not on the flat disk (volume 3.02, M <= 12.06)
+    # so M <= 15.84) but not on the flat disk (volume 3.02, M <= 12.06); the
+    # finer regularity level is the curved disk at h/2, at the fraction
+    # measured on the config's grid
     text = ("shape = disk\nradius = 1\nh = 1/8\nlam = 0.25\nLam = 4\nM = 14.0\n"
             "bump_amplitude = 0.3\ncheck_levels = 2\n")
     cfg = _write_cfg(tmp_path, text)
