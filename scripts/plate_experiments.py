@@ -17,7 +17,7 @@ import membrane_opt as mo
 def self_convergence() -> None:
     print("uniform clamped plate, unit square (continuum value ~1294.934)")
     grid = mo.build_grid(mo.square_spec(1.0 / 8))
-    uniform = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=4, exponent=4)
+    uniform = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=4)
     steps = mo.ladder(uniform, [1.0 / 8, 1.0 / 16, 1.0 / 32])
     for h, mu in zip(steps.levels, steps.mus):
         print(f"  h = 1/{round(1 / h):<3} mu = {mu:.6f}")
@@ -27,7 +27,7 @@ def self_convergence() -> None:
 def composite_plate() -> None:
     grid = mo.build_grid(mo.square_spec(1.0 / 16))
     spec = mo.ProblemSpec(grid=grid, rho_min=0.25, rho_max=4.0,
-                          mass=mo.domain_volume(grid), order=4, exponent=4)
+                          mass=mo.domain_volume(grid), order=4)
     density, pair, partition, trace = mo.minimize(spec)
     signs = int(np.count_nonzero(pair.vector < 0.0))
     print(f"composite plate 1/16: status {trace.status}, mu = "
@@ -40,7 +40,7 @@ def four_dimensional() -> None:
     start = time.time()
     grid = mo.build_grid(mo.square_spec(1.0 / 10, dimension=4))
     spec = mo.ProblemSpec(grid=grid, rho_min=0.5, rho_max=2.0,
-                          mass=mo.domain_volume(grid), order=4, exponent=4)
+                          mass=mo.domain_volume(grid), order=4)
     density, pair, partition, trace = mo.minimize(
         spec, opts=mo.SolverOptions(eig_rel_tol=1e-8))  # eig_tol of configs/plate_4d.cfg
     print(f"4d plate ({grid.node_count} nodes): status {trace.status}, "

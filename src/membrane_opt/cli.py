@@ -3,7 +3,10 @@
 Configs are plain ``key = value`` text, one pair per line, ``#`` comments
 allowed; unknown keys are rejected.  One table, ``_KEYS``, gives each key
 its parser and default; the parsed table, with the density box in place of
-``A``/``lam``/``Lam``, is the payload of the config hash.  Subcommands:
+``A``/``lam``/``Lam`` and the derived order ``p`` and exponent ``n``, is the
+payload of the config hash.  The subcommand fixes the operator order, and
+the order is the exponent n of rho = e^(n u): ``plate`` is the order-4
+run, every other subcommand is of order 2.  Subcommands:
 
     solve   single run from the uniform density; exports fields, trace,
             partition, contours, and PGM images
@@ -112,9 +115,8 @@ def _parse_bbox(key: str, text: str) -> tuple[tuple[float, float], ...]:
 
 
 # Every config key with its parser and its default text.  A default of None
-# leaves an absent key None: parse_config then fills p and n from other
-# keys, and A, lam and Lam are alternatives.  _REQUIRED keys must be
-# given.
+# leaves an absent key None: A, lam and Lam are alternatives.  _REQUIRED
+# keys must be given.
 _REQUIRED = object()
 _KEYS = {
     "subcommand": (_parse_text, "solve"),
@@ -135,8 +137,6 @@ _KEYS = {
     "lam": (_parse_number, None),
     "Lam": (_parse_number, None),
     "M": (_parse_number, _REQUIRED),
-    "n": (_parse_int, None),
-    "p": (_parse_int, None),
     "eig_tol": (_parse_number, "1e-9"),
     "max_power_iterations": (_parse_int, "500"),
     "max_alternations": (_parse_int, "200"),
@@ -167,9 +167,9 @@ class RunConfig:
     """Fully validated run description with its problem built.
 
     ``raw`` is the parsed key table, with the density box ``rho_min``/
-    ``rho_max`` in place of ``A``/``lam``/``Lam``; it is what
-    ``config_hash`` hashes.  The fields after it are its entries of the
-    same name.
+    ``rho_max`` in place of ``A``/``lam``/``Lam`` and the derived ``p`` and
+    ``n``; it is what ``config_hash`` hashes.  The fields after it are its
+    entries of the same name.
     """
 
     problem: ProblemSpec
@@ -309,20 +309,11 @@ def parse_config(text: str, subcommand: str | None = None,
     if bound_exponent is None and (lam is None or big_lam is None):
         raise ConfigError("key 'A': required (or give both lam and Lam)")
 
-    if values["p"] is None:
-        values["p"] = 4 if sub == "plate" else 2
-    p = values["p"]
-    if p not in (2, 4):
-        raise ConfigError(f"key 'p': operator order must be 2 or 4, got {p}")
-    if sub == "plate" and p != 4:
-        raise ConfigError("key 'p': the plate subcommand is the order-4 run, p must be 4")
-    if p == 4 and sub not in ("plate", "solve"):
-        raise ConfigError(f"key 'p': order 4 is only valid for solve or plate, not {sub}")
-    if values["n"] is None:
-        values["n"] = 2 if p == 2 else 4
-    n = values["n"]
-    if n < 2:
-        raise ConfigError(f"key 'n': exponent must be >= 2, got {n}")
+    # the subcommand fixes the order p, and the exponent n of rho = e^(n u)
+    # is p.  Both stay in the hashed table, as rho_min/rho_max do: a config
+    # hash, and every artifact that carries it, must not depend on whether
+    # a value is given or derived
+    p = values["p"] = values["n"] = 4 if sub == "plate" else 2
 
     try:
         flat_spec = _build_grid_spec(values)
@@ -334,7 +325,7 @@ def parse_config(text: str, subcommand: str | None = None,
 
     if bound_exponent is not None:
         try:
-            lam, big_lam = conformal_bounds(bound_exponent, n)
+            lam, big_lam = conformal_bounds(bound_exponent, p)
         except ValueError as exc:
             raise ConfigError(f"key 'A': {exc}") from exc
     elif not 0.0 < lam <= big_lam < math.inf:
@@ -344,7 +335,7 @@ def parse_config(text: str, subcommand: str | None = None,
 
     try:
         problem = ProblemSpec(grid=grid, rho_min=lam, rho_max=big_lam, mass=values["M"],
-                              order=p, exponent=n)
+                              order=p)
     except ValueError as exc:
         key = "bump_amplitude" if "background" in str(exc) else "M"
         raise ConfigError(f"key '{key}': {exc}") from exc
@@ -520,7 +511,7 @@ def _finish(out: Path, config: RunConfig, traces, detail: str) -> int:
 def _export_solution(config: RunConfig, out: Path, density, pair, partition, trace) -> None:
     head = config.header_lines
     _write(out / "density.csv", density_csv,
-           density, config.problem.exponent, head("density field"))
+           density, config.problem.order, head("density field"))
     _write(out / "eigenfunction.csv", eigenfunction_csv, pair.vector,
            head(f"eigenfunction mu={pair.eigenvalue!r} residual={pair.residual!r}"))
     _write(out / "grid.csv", grid_csv, config.grid, head("grid nodes"))

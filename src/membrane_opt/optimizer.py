@@ -78,8 +78,8 @@ class ProblemSpec:
 
     A curved grid needs order p = dimension d: that operator is conformally
     covariant (2D Laplacian, 4D Paneitz) and the class weight is rho e^(dw).
-    ``exponent`` is the n in rho = e^(n u); it only enters the recovery of
-    the conformal factor u = log(rho) / n and the derived bounds.  The
+    The density is rho = e^(p u), so the order is also the exponent of the
+    conformal factor u = log(rho) / p and of the derived bounds.  The
     operator depends only on the grid and the order, never on the density:
     ``stiffness`` is assembled on first use, and every solve of the problem
     shares it and its cached factor, which go with the problem.
@@ -90,7 +90,6 @@ class ProblemSpec:
     rho_max: float
     mass: float
     order: int = 2
-    exponent: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho_min <= self.rho_max < math.inf:
@@ -119,13 +118,12 @@ class ProblemSpec:
         return assemble_stiffness(self.grid, self.order)
 
     def on_grid(self, grid: Grid) -> ProblemSpec:
-        """This problem's box, order and exponent on ``grid``, at its mass
+        """This problem's box and order on ``grid``, at its mass
         fraction M / ``domain_volume`` of its own grid: the one rule for
         "the same problem" on another grid, such as a finer spacing."""
         fraction = self.mass / domain_volume(self.grid)
         return ProblemSpec(grid=grid, rho_min=self.rho_min, rho_max=self.rho_max,
-                           mass=fraction * domain_volume(grid), order=self.order,
-                           exponent=self.exponent)
+                           mass=fraction * domain_volume(grid), order=self.order)
 
 
 def target_high_mass(spec: ProblemSpec) -> float:

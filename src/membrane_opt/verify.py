@@ -289,10 +289,12 @@ class ContourSet:
         return sum(1 for p in self.polylines if p.closed)
 
 
-# Corner k of lattice cell (i, j) is (i, j) + _CORNERS[k]; edge k runs from
-# corner k to corner k + 1 (mod 4), along _STEPS[k].
+# Corner k of lattice cell (i, j) is (i, j) + _CORNERS[k]; edge k joins
+# corner k and corner k + 1 (mod 4), and _EDGE_ENDS[k] are its lower and
+# upper corner.  A crossing is interpolated from the lower end, so the two
+# cells that share an edge compute its crossing bit for bit alike.
 _CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-_STEPS = np.roll(_CORNERS, -1, axis=0) - _CORNERS
+_EDGE_ENDS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 # the two edge pairs a saddle cell joins, by whether the cell average lies
 # on corner 0's side of the level
 _SADDLE_JOINS = np.array([[(0, 1), (2, 3)], [(0, 3), (1, 2)]])
@@ -334,11 +336,13 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
     owner = np.broadcast_to(np.arange(cells.size)[:, None], keep.shape)[keep]
     edge = joins[keep]
 
-    fa = f[owner[:, None], edge]
-    fb = f[owner[:, None], (edge + 1) % 4]
+    low, high = _EDGE_ENDS[edge, 0], _EDGE_ENDS[edge, 1]
+    fa = f[owner[:, None], low]
+    fb = f[owner[:, None], high]
     t = (level - fa) / (fb - fa)
     cell_ij = np.stack(np.unravel_index(cells[owner], (n0, n1)), axis=-1)
-    points = (cell_ij[:, None, :] + _CORNERS[edge]) + t[..., None] * _STEPS[edge]
+    points = ((cell_ij[:, None, :] + _CORNERS[low])
+              + t[..., None] * (_CORNERS[high] - _CORNERS[low]))
 
     origin = np.asarray(grid.origin)
     out = []
@@ -357,9 +361,8 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
 
 
 def _chain_segments(segments) -> list[tuple[list[tuple[float, float]], bool]]:
-    """Chain segments, pairs of points rounded to 9 decimals, into polylines.
-    Rounding joins neighbouring cells, which compute a shared crossing from
-    opposite ends of its edge."""
+    """Chain segments, pairs of points rounded to 9 decimals, into polylines
+    that join where segments share an end point."""
     links: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for a, b in segments:
         ka, kb = tuple(a), tuple(b)
@@ -406,15 +409,12 @@ def _chain_segments(segments) -> list[tuple[list[tuple[float, float]], bool]]:
 # ---------------------------------------------------------------------------
 # discrete regularity
 
-def pure_difference_sup(grid: Grid, values: np.ndarray, order: int = 2) -> float:
-    """Sup over nodes and axes of |pure difference| / h^order.
+def pure_difference_sup(grid: Grid, values: np.ndarray) -> float:
+    """Sup over nodes and axes of |centered second difference| / h^2.
 
     Missing neighbors contribute the Dirichlet value zero, matching the
-    stencil operator.  Order 1 uses forward differences, order 2 the
-    centered second difference on each axis.
+    stencil operator.
     """
-    if order not in (1, 2):
-        raise ValueError("difference order must be 1 or 2")
     v = np.asarray(values, dtype=float)
     h = grid.spacing
 
@@ -424,12 +424,8 @@ def pure_difference_sup(grid: Grid, values: np.ndarray, order: int = 2) -> float
 
     worst = 0.0
     for step in np.eye(grid.dimension, dtype=np.int64):
-        v_plus = neighbor(step)
-        if order == 1:
-            worst = max(worst, float(np.max(np.abs(v_plus - v))) / h)
-        else:
-            v_minus = neighbor(-step)
-            worst = max(worst, float(np.max(np.abs(v_minus - 2.0 * v + v_plus))) / h**2)
+        second = neighbor(-step) - 2.0 * v + neighbor(step)
+        worst = max(worst, float(np.max(np.abs(second))) / h**2)
     return worst
 
 
@@ -525,20 +521,21 @@ class HemisphereLadder:
         return min(self.errors) > 0.0 and all(1.5 < r < 2.5 for r in self.ratios)
 
 
-def round_hemisphere(spacings: Sequence[float] = HEMISPHERE_SPACINGS,
-                     opts: SolverOptions = SolverOptions(),
+def round_hemisphere(opts: SolverOptions = SolverOptions(),
                      max_alternations: int = 200) -> dict[str, HemisphereLadder]:
     """The ``"uniform"`` (box (1, 1)) and ``"composite"`` (box (1/4, 4))
-    membranes on the stereographic unit disk, each a ``ladder`` against its
-    value on the round hemisphere, at mean density 1 (M the ``domain_volume``
-    of the coarsest disk): a check of the weight rho e^(2w), the background
-    measure and the mass rule.  Each mu rises to the reference from below."""
-    grid = build_grid(disk_spec(spacings[0], background=stereographic))
+    membranes on the stereographic unit disk, each a ``ladder`` at
+    ``HEMISPHERE_SPACINGS`` against its value on the round hemisphere, at
+    mean density 1 (M the ``domain_volume`` of the coarsest disk): a check
+    of the weight rho e^(2w), the background measure and the mass rule.
+    Each mu rises to the reference from below."""
+    grid = build_grid(disk_spec(HEMISPHERE_SPACINGS[0], background=stereographic))
     mass = domain_volume(grid)
     # uniform: P_1(cos t) = cos t vanishes on the equator, so mu_1 = 1 (1 + 1)
     problems = {"uniform": (ProblemSpec(grid, 1.0, 1.0, mass), 2.0),
                 "composite": (ProblemSpec(grid, 0.25, 4.0, mass), HEMISPHERE_COMPOSITE)}
-    return {name: HemisphereLadder(ladder(spec, spacings, opts, max_alternations), mu)
+    return {name: HemisphereLadder(ladder(spec, HEMISPHERE_SPACINGS, opts,
+                                          max_alternations), mu)
             for name, (spec, mu) in problems.items()}
 
 
@@ -567,7 +564,7 @@ def regularity_trend(solutions: Iterable[tuple]) -> RegularityReport:
     sups = []
     for density, pair, _, _ in solutions:
         phi = pair.vector / np.max(np.abs(pair.vector))
-        sups.append(pure_difference_sup(density.grid, phi, order=2))
+        sups.append(pure_difference_sup(density.grid, phi))
     ratios = tuple(sups[k + 1] / sups[k] for k in range(len(sups) - 1))
     return RegularityReport(sups=tuple(sups), ratios=ratios)
 

@@ -37,7 +37,8 @@ def test_minimal_config_defaults():
     assert rc.subcommand == "solve"
     assert rc.grid.node_count == 49
     assert rc.problem.order == 2
-    assert rc.problem.exponent == 2
+    # the derived order and exponent stay in the hashed key table
+    assert rc.raw["p"] == rc.raw["n"] == 2
     assert rc.seeds == (0,)
     assert rc.solver == mo.SolverOptions()
 
@@ -67,9 +68,7 @@ def test_infeasible_mass_names_constraint():
     ("shape = square\nh = 1/8\nA = 0.5\nlam = 1\nLam = 2\nM = 0.7\n", "not both"),
     ("shape = square\nh = 1/8\nh = 1/4\nA = 0.5\nM = 0.7\n", "duplicate"),
     ("shape = square\nh = 1/8\nA = -1\nM = 0.7\n", "key 'A'"),
-    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 3\n", "key 'p'"),
     ("shape = rhombus\nh = 1/8\nA = 0.5\nM = 0.7\n", "shape"),
-    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 4\nsubcommand = sweep\n", "order 4"),
     ("shape = square\nh = 1/8\nA = 400\nM = 0.7\n", "key 'A': density box"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nseeds = 3,-1\n", "key 'seeds': .* >= 0"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = inf\n", "key 'M': mass must be finite"),
@@ -80,9 +79,6 @@ def test_infeasible_mass_names_constraint():
      "grid construction failed: .* not finite"),
     ("shape = rectangle\nbbox = 0,1,-inf,1\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "grid construction failed: .* not finite"),
-    ("shape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\np = 4\n"
-     "bump_amplitude = 0.3\n", "key 'bump_amplitude': a curved background needs "
-     "operator order p = d, got p = 4 in d = 2"),
     ("subcommand = plate\nshape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
      "bump_amplitude = 0.3\n", "key 'bump_amplitude': a curved background needs "
      "operator order p = d, got p = 4 in d = 2"),
@@ -116,9 +112,6 @@ def test_infeasible_mass_names_constraint():
     ("shape = square\nh =\nA = 0.5\nM = 0.7\n", "line 2: empty value for key 'h'"),
     ("subcommand = relax\nshape = square\nh = 1/8\nA = 0.5\nM = 0.7\n",
      "key 'subcommand': unknown subcommand 'relax'"),
-    ("subcommand = plate\nshape = square\nh = 1/8\nA = 0.5\nM = 0.7\np = 2\n",
-     "key 'p': the plate subcommand is the order-4 run"),
-    ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nn = 1\n", "key 'n': exponent must be >= 2"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\nmax_power_iterations = 0\n",
      "key 'max_power_iterations': iteration cap must be >= 1"),
     ("shape = square\nh = 1/8\nA = 0.5\nM = 0.7\neig_tol = 0\n",
@@ -147,7 +140,7 @@ def test_plate_subcommand_defaults_to_order_4():
     rc = parse_config("shape = square\nh = 1/8\nA = 0.25\nM = 0.766\n",
                       subcommand="plate")
     assert rc.problem.order == 4
-    assert rc.problem.exponent == 4
+    assert rc.raw["p"] == rc.raw["n"] == 4
     assert rc.problem.stiffness.order == 4
 
 
@@ -719,7 +712,7 @@ def test_config_hash_is_pinned(text, subcommand, digest):
 
 @pytest.mark.parametrize("line", [
     "export_fields = true", "export_trace = true", "export_contours = true",
-    "export_images = true", "oracle_cap = 20", "cg_tol = 1e-10",
+    "export_images = true", "oracle_cap = 20", "cg_tol = 1e-10", "p = 4", "n = 2",
 ])
 def test_removed_keys_exit_1(tmp_path, capsys, line):
     cfg = _write_cfg(tmp_path, MINIMAL + line + "\n")
@@ -774,11 +767,10 @@ def test_non_finite_input_exits_1_without_output(tmp_path, capsys, lines, messag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand, order", [("plate", ""), ("solve", "p = 4\n")],
-                         ids=["plate", "solve-p4"])
-def test_curved_order_4_exits_1_without_output(tmp_path, capsys, subcommand, order):
+@pytest.mark.parametrize("subcommand", ["plate"])
+def test_curved_order_4_exits_1_without_output(tmp_path, capsys, subcommand):
     cfg = _write_cfg(tmp_path, "shape = square\nh = 1/4\nlam = 0.5\nLam = 2\nM = 0.6\n"
-                               f"bump_amplitude = 0.3\n{order}")
+                               "bump_amplitude = 0.3\n")
     out = tmp_path / "out"
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -825,7 +817,8 @@ def _per_point_bump_e2w(grid, center, radius, amplitude, d):
     ("shape = disk\ncenter = 0.1,-0.2\nradius = 0.9\nh = 1/16\nM = 2.0",
      (0.1, -0.2), 0.9, 2),
     ("shape = rectangle\nbbox = 0,1.5,0,1\nh = 1/16\nM = 2.0", (0.75, 0.5), 0.5, 2),
-    ("shape = disk\nd = 4\np = 4\ncenter = 0.1,-0.2,0,0.05\nradius = 0.9\nh = 1/5\nM = 4.0",
+    ("subcommand = plate\nshape = disk\nd = 4\ncenter = 0.1,-0.2,0,0.05\nradius = 0.9\n"
+     "h = 1/5\nM = 4.0",
      (0.1, -0.2, 0.0, 0.05), 0.9, 4),
 ], ids=["disk", "rectangle", "disk-4d"])
 def test_bump_weights_match_per_point_reference_bitwise(shape, center, radius, d):

@@ -44,7 +44,7 @@ def _paneitz_4d(hemisphere):
     spacings = (1 / 4, 1 / 5, 1 / 6)
     grid = mo.build_grid(mo.disk_spec(spacings[0], dimension=4,
                                       background=mo.stereographic))
-    problem = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=4, exponent=4)
+    problem = mo.ProblemSpec(grid, 1.0, 1.0, mo.domain_volume(grid), order=4)
     return mo.ladder(problem, spacings).mus, HEMISPHERE_PANEITZ
 
 

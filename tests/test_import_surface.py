@@ -37,7 +37,7 @@ def test_conjugate_gradient_path_and_contours_load_no_heavy_stack():
     before, after = _heavy_modules("""
         plate = mo.build_grid(mo.square_spec(1.0 / 8, dimension=3))
         spec = mo.ProblemSpec(grid=plate, rho_min=0.5, rho_max=2.0,
-                              mass=mo.domain_volume(plate), order=4, exponent=4)
+                              mass=mo.domain_volume(plate), order=4)
         square = mo.build_grid(mo.square_spec(1.0 / 8))
         x, y = square.coordinates().T
         phi = x * (1.0 - x) * y * (1.0 - y)

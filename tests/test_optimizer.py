@@ -85,11 +85,11 @@ def test_infeasible_mass_raises():
 def test_on_grid_carries_box_order_exponent_and_mass_fraction():
     coarse = mo.build_grid(mo.disk_spec(1.0 / 8))
     fine = mo.build_grid(mo.disk_spec(1.0 / 16))
-    spec = mo.ProblemSpec(grid=coarse, rho_min=0.25, rho_max=4.0, mass=2.0, order=4,
-                          exponent=4)
+    spec = mo.ProblemSpec(grid=coarse, rho_min=0.25, rho_max=4.0, mass=2.0, order=4)
     moved = spec.on_grid(fine)
     assert moved.grid is fine
-    assert (moved.rho_min, moved.rho_max, moved.order, moved.exponent) == (0.25, 4.0, 4, 4)
+    # the order is also the exponent of rho = e^(p u)
+    assert (moved.rho_min, moved.rho_max, moved.order) == (0.25, 4.0, 4)
     assert moved.mass == 2.0 / mo.domain_volume(coarse) * mo.domain_volume(fine)
     # M = |Omega_h| on a point box stays the discrete volume, to the bit
     point = mo.ProblemSpec(grid=coarse, rho_min=1.0, rho_max=1.0,
@@ -420,7 +420,7 @@ def test_plate_on_the_cg_path_converges_at_default_solver_options():
     # power iteration stalls at eigen residual 2.4e-8 against its 1e-8 target
     g = mo.build_grid(mo.square_spec(1.0 / 16, dimension=3))
     spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=mo.domain_volume(g),
-                          order=4, exponent=4)
+                          order=4)
     assert g.node_count == 3375 and spec.stiffness.factor is None
     _, pair, _, trace = mo.minimize(spec, opts=mo.SolverOptions())
     assert trace.status == CONVERGED
@@ -432,7 +432,7 @@ def _cg_plate(dimension, k, rho_min=0.5, rho_max=2.0):
     # with its eig_tol; every such grid solves on the conjugate-gradient path
     g = mo.build_grid(mo.square_spec(1.0 / k, dimension=dimension))
     spec = mo.ProblemSpec(grid=g, rho_min=rho_min, rho_max=rho_max,
-                          mass=mo.domain_volume(g), order=4, exponent=4)
+                          mass=mo.domain_volume(g), order=4)
     assert not spec.stiffness.factored
     return spec, mo.SolverOptions(eig_rel_tol=1e-8)
 
@@ -498,7 +498,7 @@ def test_set_change_counts_a_fractional_node_trading_places_with_a_high_node():
     # alternate records, which leaves the low region as it was
     g = mo.build_grid(mo.square_spec(1.0 / 6, dimension=4))
     spec = mo.ProblemSpec(grid=g, rho_min=0.5, rho_max=2.0, mass=(5.0 / 6.0) ** 4,
-                          order=4, exponent=4)
+                          order=4)
     *_, trace = mo.minimize(spec, init=1)
     assert trace.status == CONVERGED and len(trace) >= 4
     assert [r.set_change == 0 for r in trace.records] == [False] * (len(trace) - 1) + [True]
@@ -684,7 +684,7 @@ def test_density_validate_catches_bad_mass():
 
 def test_conformal_factor_recovery():
     g = _grid_4()
-    spec = mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0, mass=4.0, exponent=2)
+    spec = mo.ProblemSpec(grid=g, rho_min=0.25, rho_max=4.0, mass=4.0)
     density = mo.uniform_density(spec)
-    u = density.conformal_factor(spec.exponent)
+    u = density.conformal_factor(spec.order)
     assert np.exp(2.0 * u) == pytest.approx(density.values, rel=1e-14)
