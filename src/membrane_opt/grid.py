@@ -7,8 +7,10 @@ bitwise deterministic.  A dense lattice index array, padded by one layer
 on every side, maps every lattice point back to its node (-1 where there
 is none).  A point's place in it is one flat index, its coordinates plus
 one dotted with the array's element strides: the lattice map is one
-scatter at the nodes' flat indices, and lookups, stencil neighbors and
-reflections go through the same flat indices.  Boundary values are never
+scatter at the nodes' flat indices, lookups and stencil neighbors go
+through the same flat indices, and a step from every node at once is one
+gather at ``Grid.positions`` plus the step's offset, with no table of
+coordinates; a reflection flips the lattice.  Boundary values are never
 stored: a missing axis neighbor means the homogeneous Dirichlet condition
 applies across that edge.
 
@@ -230,11 +232,12 @@ class Grid:
     ``lattice[i + 1]`` is the index of the node at integer coordinates
     ``i`` (0 <= i_k <= lattice_cells[k]), -1 where there is none.  It
     carries one layer of -1 padding on every side, so that the neighbors
-    of Dirichlet-layer points stay in bounds; use ``lookup`` rather than
-    indexing it directly.  ``lookup`` takes coordinates within one step of
-    the lattice, -1 <= i_k <= lattice_cells[k] + 1, and raises
-    ``ValueError`` on any other; the neighbor of node j along a step s is
-    ``lookup(nodes[j] + s)``.
+    of Dirichlet-layer points stay in bounds.  ``lookup`` takes
+    coordinates within one step of the lattice, -1 <= i_k <=
+    lattice_cells[k] + 1, and raises ``ValueError`` on any other; the
+    neighbor of node j along a step s is ``lookup(nodes[j] + s)``.  The
+    same neighbor of every node at once is a gather of the flat lattice
+    at ``positions()`` plus the step's offset, with no coordinate table.
     """
 
     spec: GridSpec
@@ -280,6 +283,15 @@ class Grid:
         coords = self.nodes * self.spacing
         coords += self.origin
         return coords
+
+    def positions(self) -> np.ndarray:
+        """Flat position of every node in ``lattice.reshape(-1)``, in node
+        order (nodes follow the lattice's C order), int32 where the lattice
+        fits.  A step s from the nodes lands at ``positions() + s @
+        strides``, the strides counted in elements; within one step of the
+        lattice that is still a position of the padded lattice."""
+        index = np.int32 if self.lattice.size <= np.iinfo(np.int32).max else np.int64
+        return np.flatnonzero(self.lattice.reshape(-1) >= 0).astype(index)
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Node indices for an (N, d) array of integer coordinates, -1 where
@@ -386,11 +398,11 @@ def domain_volume(grid: Grid) -> float:
 def mirror_permutation(grid: Grid, axis: int = 0) -> np.ndarray:
     """Node permutation for reflection across the bounding-box midplane.
 
-    Raises if the node set is not symmetric under that reflection.
+    Raises if the node set is not symmetric under that reflection.  The
+    padded lattice is symmetric about the same midplane, so the reflection
+    is a flip of the lattice along ``axis``, read at the nodes.
     """
-    image = grid.nodes.copy()
-    image[:, axis] = grid.lattice_cells[axis] - image[:, axis]
-    perm = grid.lookup(image)
+    perm = np.flip(grid.lattice, axis)[grid.lattice >= 0]
     missing = np.flatnonzero(perm < 0)
     if missing.size:
         node = tuple(int(v) for v in grid.nodes[missing[0]])

@@ -16,7 +16,7 @@ eigenfunction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -82,7 +82,8 @@ class ProblemSpec:
     conformal factor u = log(rho) / p and of the derived bounds.  The
     operator depends only on the grid and the order, never on the density:
     ``stiffness`` is assembled on first use, and every solve of the problem
-    shares it and its cached factor, which go with the problem.
+    shares it and its cached factor, which go with the problem and with
+    every problem made from it by ``with_box``.
     """
 
     grid: Grid
@@ -116,6 +117,16 @@ class ProblemSpec:
     def stiffness(self) -> StiffnessMatrix:
         """Order-``order`` stiffness of ``grid``, assembled once per problem."""
         return assemble_stiffness(self.grid, self.order)
+
+    def with_box(self, rho_min: float, rho_max: float) -> ProblemSpec:
+        """This problem's grid, mass and order in the box (rho_min,
+        rho_max).  The operator does not depend on the box, so the new
+        problem shares this one's ``stiffness``, assembled here if it is
+        not yet, and its factor."""
+        other = replace(self, rho_min=rho_min, rho_max=rho_max)
+        # the cached_property slot, which a frozen dataclass leaves writable
+        other.__dict__["stiffness"] = self.stiffness
+        return other
 
     def on_grid(self, grid: Grid) -> ProblemSpec:
         """This problem's box and order on ``grid``, at its mass

@@ -3,14 +3,19 @@ refinement, the round hemisphere.
 
 Everything here except the ladders deliberately avoids the production solve
 path: the enumeration oracle uses a dense LAPACK generalized eigensolve,
-the contour extractor runs marching squares over all lattice cells at once
-from raw nodal values, and the connectivity and regularity checks are plain
-numpy computations over lattice lookups of shifted nodes.
+the contour extractor runs marching squares from raw nodal values on the
+cells that cross the level, found on boolean lattice images, and the
+connectivity and regularity checks are plain numpy gathers at flat lattice
+positions (``Grid.positions``) plus an axis's stride.  None of them builds
+a table of node coordinates or of every cell's corners, so their memory
+stays a few node-sized vectors.
 ``count_components`` is the package's one connectivity count of node sets.
 ``ladder`` is its one refinement study: the same problem, under the one
 mass rule ``ProblemSpec.on_grid``, solved at each of a sequence of
-spacings.  ``round_hemisphere`` is its one conformal check: two ladders on
-the ``stereographic`` disk against eigenvalues of the round metric.
+spacings.  ``round_hemisphere`` is its one conformal check: two problems
+on the ``stereographic`` disk, solved at each spacing on one grid, one
+stiffness and one factor per level, against eigenvalues of the round
+metric.
 ``scipy.linalg`` is imported only inside the oracle's dense
 solve, so the contour export and the other checks load numpy alone.
 Nothing here formats artifacts; the contour table (``contours.csv``) is
@@ -26,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .eigen import SolverOptions
-from .grid import Disk, Grid, build_grid, disk_spec, domain_volume
+from .grid import Disk, Grid, _element_strides, build_grid, disk_spec, domain_volume
 from .optimizer import (
     DensityField,
     LevelSetPartition,
@@ -234,37 +239,53 @@ def count_components(nodes: Iterable[int] | np.ndarray, grid: Grid) -> int:
     """Connected components of a node set under the 2d-neighbor stencil graph.
 
     A vectorized union-find over the member pairs along the + step of each
-    axis, looked up for the members alone.  Every node starts as its own
-    root; each round hooks the larger root of every edge whose ends lie in
-    different trees to the smaller one (``np.minimum.at``), then jumps
-    pointers (``label[label]``) until every node points at its root.
-    Labels only decrease, so the forest has no cycles, and each round that
-    finds a split edge merges trees.  The count is the number of members
-    that are their own root.
+    axis.  The pairs come from flat lattice positions (``Grid.positions``):
+    a member's + neighbor along axis k sits at its position plus that
+    axis's element stride, and a boolean image of the members on the
+    lattice says whether the neighbor is a member too, so no table of
+    coordinates is built; positions, edges and labels are int32 where the
+    lattice fits.  Every node starts as its own root; each round hooks the
+    larger root of every edge whose ends lie in different trees to the
+    smaller one (``np.minimum.at``), then jumps pointers (``label[label]``)
+    until every node points at its root.  Labels only decrease, so the
+    forest has no cycles, and each round that finds a split edge merges
+    trees.  The count is the number of members that are their own root.
     """
     members = _node_mask(nodes, grid)
-    inside = np.flatnonzero(members)
-    points = grid.nodes[inside]
+    lattice = grid.lattice.reshape(-1)
+    at = grid.positions()
+    inside = np.flatnonzero(members).astype(at.dtype)
+    at = at[inside]
+    image = np.zeros(lattice.size, dtype=bool)
+    image[at] = True
     tails, heads = [], []
-    for step in np.eye(grid.dimension, dtype=np.int64):
-        ahead = grid.lookup(points + step)
-        edge = ahead >= 0
-        edge[edge] = members[ahead[edge]]
+    for stride in _element_strides(grid.lattice).tolist():
+        edge = image[at + stride]
         tails.append(inside[edge])
-        heads.append(ahead[edge])
+        ahead = at[edge]
+        ahead += stride
+        heads.append(np.take(lattice, ahead, out=ahead))
+    # each temporary goes as soon as it is spent: the edges and the union-find
+    # rounds set the peak, which the tests bound
+    del at, image
     tail, head = np.concatenate(tails), np.concatenate(heads)
-    label = np.arange(members.shape[0])
+    del tails, heads
+    label = np.arange(members.shape[0], dtype=inside.dtype)
     while True:
         a, b = label[tail], label[head]
         if np.array_equal(a, b):
             break
-        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        low = np.minimum(a, b)
+        np.maximum(a, b, out=a)
+        del b
+        np.minimum.at(label, a, low)
+        del a, low
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    return int(np.count_nonzero(label[members] == np.flatnonzero(members)))
+    return int(np.count_nonzero(label[inside] == inside))
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +326,35 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
 
     Only cells whose four corners are all interior nodes contribute, with
     linear interpolation along edges; nodes with phi <= level count as the
-    inside.  A saddle cell joins its crossings by the side of the cell
-    average.  Segments are chained into polylines; a polyline is closed
-    when it returns to its start.  Points are physical coordinates.
+    inside.  The crossing cells are found on boolean images of the lattice
+    (corner present, corner inside), and corner values are gathered for
+    those cells alone.  A saddle cell joins its crossings by the side of
+    the cell average.  Segments are chained into polylines; a polyline is
+    closed when it returns to its start.  Points are physical coordinates.
     """
     if grid.dimension != 2:
         raise ValueError("contour extraction requires a two-dimensional grid")
     phi = np.asarray(phi, dtype=float)
     n0, n1 = grid.lattice_cells
     field = np.full((n0 + 1, n1 + 1), np.nan)
-    field[grid.nodes[:, 0], grid.nodes[:, 1]] = phi
+    # nodes follow the lattice's C order, so one masked store places them
+    field[grid.lattice[1:-1, 1:-1] >= 0] = phi
 
-    # corner values of every cell, cells in (i, j) order
-    corners = np.stack([field[a:a + n0, b:b + n1] for a, b in _CORNERS], -1).reshape(-1, 4)
-    inside = corners <= level
-    count = np.count_nonzero(inside, axis=1)
-    cells = np.flatnonzero(~np.isnan(corners).any(axis=1) & (count > 0) & (count < 4))
-    f, inside = corners[cells], inside[cells]
+    # crossing cells, in (i, j) order: all four corners are nodes and lie on
+    # both sides of the level; corner k of every cell is one lattice view
+    whole = np.ones((n0, n1), dtype=bool)
+    below = np.zeros((n0, n1), dtype=bool)
+    above = np.zeros((n0, n1), dtype=bool)
+    for a, b in _CORNERS:
+        corner = field[a:a + n0, b:b + n1]
+        whole &= ~np.isnan(corner)
+        below |= corner <= level
+        above |= corner > level
+    cells = np.flatnonzero(whole & below & above)
+    del whole, below, above
+    ij = np.unravel_index(cells, (n0, n1))
+    f = field[ij[0][:, None] + _CORNERS[:, 0], ij[1][:, None] + _CORNERS[:, 1]]
+    inside = f <= level
     crosses = inside != np.roll(inside, -1, axis=1)
 
     # each cell crosses on two edges, joined in edge order, or on all four
@@ -340,7 +373,7 @@ def extract_contour(phi: np.ndarray, level: float, grid: Grid) -> ContourSet:
     fa = f[owner[:, None], low]
     fb = f[owner[:, None], high]
     t = (level - fa) / (fb - fa)
-    cell_ij = np.stack(np.unravel_index(cells[owner], (n0, n1)), axis=-1)
+    cell_ij = np.stack(ij, axis=-1)[owner]
     points = ((cell_ij[:, None, :] + _CORNERS[low])
               + t[..., None] * (_CORNERS[high] - _CORNERS[low]))
 
@@ -417,14 +450,15 @@ def pure_difference_sup(grid: Grid, values: np.ndarray) -> float:
     """
     v = np.asarray(values, dtype=float)
     h = grid.spacing
-
-    def neighbor(step: np.ndarray) -> np.ndarray:
-        index = grid.lookup(grid.nodes + step)
-        return np.where(index >= 0, v[index], 0.0)
+    at = grid.positions()
+    # the values on the padded lattice, zero off the nodes; a neighbor
+    # along an axis is one gather at the positions plus the axis's stride
+    image = np.zeros(grid.lattice.size)
+    image[at] = v
 
     worst = 0.0
-    for step in np.eye(grid.dimension, dtype=np.int64):
-        second = neighbor(-step) - 2.0 * v + neighbor(step)
+    for stride in _element_strides(grid.lattice).tolist():
+        second = image[at - stride] - 2.0 * v + image[at + stride]
         worst = max(worst, float(np.max(np.abs(second))) / h**2)
     return worst
 
@@ -502,7 +536,7 @@ def stereographic(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HemisphereLadder:
-    """A ``ladder`` on the stereographic disk, its problem's first eigenvalue
+    """A ``Ladder`` on the stereographic disk, its problem's first eigenvalue
     on the round hemisphere, the ``errors`` reference - mu and their ratios."""
 
     ladder: Ladder
@@ -524,19 +558,25 @@ class HemisphereLadder:
 def round_hemisphere(opts: SolverOptions = SolverOptions(),
                      max_alternations: int = 200) -> dict[str, HemisphereLadder]:
     """The ``"uniform"`` (box (1, 1)) and ``"composite"`` (box (1/4, 4))
-    membranes on the stereographic unit disk, each a ``ladder`` at
+    membranes on the stereographic unit disk, each solved at
     ``HEMISPHERE_SPACINGS`` against its value on the round hemisphere, at
-    mean density 1 (M the ``domain_volume`` of the coarsest disk): a check
-    of the weight rho e^(2w), the background measure and the mass rule.
-    Each mu rises to the reference from below."""
-    grid = build_grid(disk_spec(HEMISPHERE_SPACINGS[0], background=stereographic))
-    mass = domain_volume(grid)
+    mean density 1 (M the ``domain_volume`` of each level's disk): a check
+    of the weight rho e^(2w) and of the background measure of the mass.
+    Each mu rises to the reference from below.
+
+    Each level's disk is built once, and the composite problem on it
+    shares the uniform one's stiffness and factor (``ProblemSpec.with_box``);
+    the uniform levels are solved first, then the composite ones."""
+    grids = [build_grid(disk_spec(h, background=stereographic)) for h in HEMISPHERE_SPACINGS]
+    uniform = [ProblemSpec(grid, 1.0, 1.0, domain_volume(grid)) for grid in grids]
     # uniform: P_1(cos t) = cos t vanishes on the equator, so mu_1 = 1 (1 + 1)
-    problems = {"uniform": (ProblemSpec(grid, 1.0, 1.0, mass), 2.0),
-                "composite": (ProblemSpec(grid, 0.25, 4.0, mass), HEMISPHERE_COMPOSITE)}
-    return {name: HemisphereLadder(ladder(spec, HEMISPHERE_SPACINGS, opts,
-                                          max_alternations), mu)
-            for name, (spec, mu) in problems.items()}
+    studies = {"uniform": (uniform, 2.0),
+               "composite": ([spec.with_box(0.25, 4.0) for spec in uniform],
+                             HEMISPHERE_COMPOSITE)}
+    return {name: HemisphereLadder(Ladder(HEMISPHERE_SPACINGS, tuple(
+                minimize(spec, opts=opts, max_alternations=max_alternations)
+                for spec in problems)), mu)
+            for name, (problems, mu) in studies.items()}
 
 
 @dataclass(frozen=True)

@@ -502,9 +502,10 @@ def test_report_subcommands_exit_2_when_a_run_hits_the_cap(tmp_path, subcommand,
 def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypatch, text,
                                                             finer):
     # the config's grid is built once, when the config is parsed, and its
-    # problem assembles its stiffness once; the hemisphere's uniform and
-    # composite problems share the coarsest stereographic disk, which has as
-    # many nodes as the curved config disk, and assemble once each per level
+    # problem assembles its stiffness once; the hemisphere builds each
+    # stereographic disk once (the coarsest has as many nodes as the curved
+    # config disk), and its uniform and composite problems share that
+    # level's one stiffness
     from membrane_opt import optimizer, verify
 
     built, cli_built, assembled = [], [], []
@@ -529,10 +530,10 @@ def test_check_builds_and_assembles_the_config_grid_sparingly(tmp_path, monkeypa
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
     [own] = cli_built
-    assert [grid.node_count for grid in built] == [193, 793, 3205, 793, 3205, finer]
+    assert [grid.node_count for grid in built] == [193, 793, 3205, finer]
     assert ["own" if grid is own else grid.node_count for grid in assembled] == \
-        [193, 793, 3205] * 2 + ["own", finer]
-    assert assembled[0] is assembled[3] is built[0]
+        [193, 793, 3205, "own", finer]
+    assert assembled[:3] == built[:3]
 
 
 def test_pgm_dimensions(tmp_path):
@@ -688,6 +689,42 @@ def test_grid_csv_memory_does_not_grow_with_rows(tmp_path):
     assert peak < 2_000_000
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert len(lines) == len(HEADER) + 1 + g.node_count
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of its traced allocations above the start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_count_components_memory_stays_off_coordinate_tables():
+    # an annulus of about the disk's low region: 41000 of 51429 nodes.  The
+    # count allocates a few int32 vectors (2.5 MB traced), not (m, 2) int64
+    # coordinate tables and int64 labels (7.4 MB)
+    g = mo.build_grid(mo.disk_spec(1.0 / 128))
+    ring = np.flatnonzero(np.sum(g.coordinates() ** 2, axis=1) > 0.45**2)
+    count, peak = _traced_peak(mo.count_components, ring, g)
+    assert count == 1
+    assert peak < 4_000_000
+
+
+def test_extract_contour_memory_stays_off_the_cell_table():
+    # a radial field whose level curve is the circle r = 0.45: corner values
+    # are gathered for the crossing cells alone (1.8 MB traced with the
+    # component count), not for every lattice cell (6.0 MB)
+    g = mo.build_grid(mo.disk_spec(1.0 / 128))
+    phi = 1.0 - np.sum(g.coordinates() ** 2, axis=1)
+    contours, peak = _traced_peak(mo.extract_contour, phi, 1.0 - 0.45**2, g)
+    assert contours.closed_count == 1
+    assert contours.region_components == 1
+    assert peak < 3_500_000
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,20 @@ def test_lookup_refuses_points_beyond_the_padding(dimension):
             g.lookup([center, bad, corner])
 
 
+@pytest.mark.parametrize("spec", [mo.disk_spec(1.0 / 16), mo.square_spec(0.25, dimension=3),
+                                  mo.dumbbell_spec(1.0 / 16)], ids=["disk", "cube", "dumbbell"])
+def test_positions_are_the_nodes_flat_places_in_the_lattice(spec):
+    g = mo.build_grid(spec)
+    at = g.positions()
+    assert at.dtype == np.int32
+    assert g.lattice.reshape(-1)[at].tolist() == list(range(g.node_count))
+    # a step from every node is the positions plus the step's element offset
+    strides = np.array(g.lattice.strides) // g.lattice.itemsize
+    for step in np.eye(g.dimension, dtype=np.int64):
+        assert g.lattice.reshape(-1)[at + int(step @ strides)].tolist() == \
+            g.lookup(g.nodes + step).tolist()
+
+
 # ---------------------------------------------------------------------------
 # the lattice index against a dict-and-BFS reference written independently
 # of build_grid

@@ -101,6 +101,20 @@ def test_on_grid_carries_box_order_exponent_and_mass_fraction():
         spec.on_grid(curved)
 
 
+def test_with_box_shares_the_stiffness_and_keeps_every_check():
+    g = mo.build_grid(mo.disk_spec(1.0 / 8))
+    vol = mo.domain_volume(g)
+    spec = mo.ProblemSpec(grid=g, rho_min=1.0, rho_max=1.0, mass=vol)
+    boxed = spec.with_box(0.25, 4.0)
+    assert (boxed.grid, boxed.rho_min, boxed.rho_max, boxed.mass, boxed.order) == \
+        (g, 0.25, 4.0, vol, 2)
+    assert boxed.stiffness is spec.stiffness
+    assert boxed.stiffness.factor is spec.stiffness.factor is not None
+    # the new box must still admit the mass
+    with pytest.raises(ValueError, match="mass outside conformal box"):
+        spec.with_box(2.0, 4.0)
+
+
 # ---------------------------------------------------------------------------
 # bathtub rearrangement
 
