@@ -175,11 +175,15 @@ def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
     cap (or meeting a direction of non-positive curvature, the signature
     of an ill-assembled matrix) raises CGStagnationError.  Conjugate
     gradients take a single right-hand side and reject a 2-D ``b`` with
-    ValueError.  The loop updates its vectors in place, so a step allocates
-    only the product A p (and A x at a refresh), and every update rounds
-    exactly as the textbook loop (``x += alpha * p``, ``r -= alpha * ap``,
-    ``p = r + beta * p``, ``r = b - A x`` every 50 steps) does: the
-    iterates are the textbook loop's to the bit.
+    ValueError.  ``x0`` is copied, never written, and released once copied,
+    so that a warm start made for the call does not outlive the copy.  The
+    loop holds x, r, p and one product A p, and updates them in place: each
+    product is released once it is spent, after serving as the scratch of
+    alpha p, so a step allocates only that product (and A x at a refresh,
+    which takes the spent product's place).  Every update rounds exactly as
+    the textbook loop (``x += alpha * p``, ``r -= alpha * ap``, ``p = r +
+    beta * p``, ``r = b - A x`` every 50 steps) does: the iterates are the
+    textbook loop's to the bit.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -205,9 +209,10 @@ def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = b - mat @ x
+        del x0
+        r = mat @ x
+        np.subtract(b, r, out=r)
     p = r.copy()
-    tmp = np.empty_like(b)
     rs = float(r @ r)
     target = tol * norm_b
     cap = 10 * b.shape[0]
@@ -224,11 +229,13 @@ def solve_spd(A: StiffnessMatrix, b: np.ndarray, tol: float,
             )
         alpha = rs / p_ap
         # each in-place update rounds as its textbook form does:
-        # x += alpha p, r -= alpha A p, p = r + beta p
-        np.multiply(p, alpha, out=tmp)
-        x += tmp
+        # r -= alpha A p, x += alpha p, p = r + beta p; the spent product
+        # holds alpha p, then goes before the next product is taken
         ap *= alpha
         r -= ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
+        del ap
         if (it + 1) % 50 == 0:
             # periodic true-residual refresh against floating-point drift
             np.subtract(b, mat @ x, out=r)
@@ -272,7 +279,11 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
     dropped.  Otherwise the step is warm-started inverse power iteration,
     one ``solve_spd`` call y <- solve(A, W x), x <- y / sqrt(y' W y),
     whose conjugate gradients run to the tolerance of A's order
-    (``_CG_REL_TOL``).
+    (``_CG_REL_TOL``), warm-started from x / mu.  Besides the solve, a step
+    allocates the product A x and short-lived temporaries: y is normalized
+    in place, W x lives in one vector for the whole call and is the next
+    step's right-hand side, and the warm start is released once the solve
+    has copied it.
     Both stop once the relative eigenvalue change drops below eig_rel_tol
     and the measured residual below 10x that; past max_iterations steps,
     EigenConvergenceError names the method and carries the iterate of
@@ -297,9 +308,11 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
     if not np.all(w > 0.0):
         raise ValueError("weight vector must be strictly positive")
     x = np.ones(n) if start is None else _start_vector(start, w)
-    x = x / np.sqrt(float(x @ (w * x)))
+    x /= np.sqrt(float(x @ (w * x)))
     block = _Lobpcg(x, w) if A.factor is not None else None
     tol = _CG_REL_TOL[A.order]
+    # W x of the iterate, which is also the next power step's right-hand side
+    wx = np.multiply(w, x)
 
     mu_prev = None
     best = None
@@ -308,17 +321,19 @@ def first_eigenpair(A: StiffnessMatrix, weights: np.ndarray,
         if block is not None:
             x, ax = block.step(A, mat, tol)
         else:
-            rhs = w * x
-            guess = x / mu_prev if mu_prev is not None else None
-            y = solve_spd(A, rhs, tol, x0=guess)
-            scale = float(y @ (w * y))
+            # the warm start is made in the call, so that the solve's copy of
+            # it is its only reference while conjugate gradients run
+            x = solve_spd(A, wx, tol, x0=None if mu_prev is None else x / mu_prev)
+            scale = float(x @ (w * x))
             if scale <= 0.0:
                 raise SolverError("inverse iteration produced a degenerate iterate")
-            x = y / np.sqrt(scale)
+            x /= np.sqrt(scale)
             ax = mat @ x
-        wx = w * x
+        np.multiply(w, x, out=wx)
         mu = float(x @ ax)
-        residual = float(np.linalg.norm(ax - mu * wx) / np.linalg.norm(wx))
+        ax -= mu * wx
+        residual = float(np.linalg.norm(ax) / np.linalg.norm(wx))
+        del ax
         if best is None or residual < best[2]:
             best = (mu, x, residual, it)
         if mu_prev is not None and abs(mu - mu_prev) <= opts.eig_rel_tol * abs(mu) \

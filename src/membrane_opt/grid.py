@@ -7,12 +7,12 @@ bitwise deterministic.  A dense lattice index array, padded by one layer
 on every side, maps every lattice point back to its node (-1 where there
 is none).  A point's place in it is one flat index, its coordinates plus
 one dotted with the array's element strides: the lattice map is one
-scatter at the nodes' flat indices, lookups and stencil neighbors go
-through the same flat indices, and a step from every node at once is one
-gather at ``Grid.positions`` plus the step's offset, with no table of
-coordinates; a reflection flips the lattice.  Boundary values are never
-stored: a missing axis neighbor means the homogeneous Dirichlet condition
-applies across that edge.
+scatter at the nodes' flat indices, ``Grid.positions``, and a step from
+every node at once, stencil neighbors included, is one gather at those
+positions plus the step's offset, with no table of coordinates; a
+reflection flips the lattice.  Boundary values are never stored: a
+missing axis neighbor means the homogeneous Dirichlet condition applies
+across that edge.
 
 Both per-point inputs are array functions, each called once per grid.  A
 shape is any object with a vectorized ``contains(points)`` that maps the
@@ -232,12 +232,12 @@ class Grid:
     ``lattice[i + 1]`` is the index of the node at integer coordinates
     ``i`` (0 <= i_k <= lattice_cells[k]), -1 where there is none.  It
     carries one layer of -1 padding on every side, so that the neighbors
-    of Dirichlet-layer points stay in bounds.  ``lookup`` takes
-    coordinates within one step of the lattice, -1 <= i_k <=
-    lattice_cells[k] + 1, and raises ``ValueError`` on any other; the
-    neighbor of node j along a step s is ``lookup(nodes[j] + s)``.  The
-    same neighbor of every node at once is a gather of the flat lattice
-    at ``positions()`` plus the step's offset, with no coordinate table.
+    of Dirichlet-layer points stay in bounds.  The neighbor of every node
+    along a step is one gather of the flat lattice at ``positions()`` plus
+    the step's offset, with no coordinate table.  ``e2w`` is the per-node
+    background weight e^(dw), float64; on a flat grid it is a read-only
+    broadcast of one stored 1.0 rather than n stored ones, and it reads
+    the same everywhere.
     """
 
     spec: GridSpec
@@ -292,23 +292,6 @@ class Grid:
         lattice that is still a position of the padded lattice."""
         index = np.int32 if self.lattice.size <= np.iinfo(np.int32).max else np.int64
         return np.flatnonzero(self.lattice.reshape(-1) >= 0).astype(index)
-
-    def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Node indices for an (N, d) array of integer coordinates, -1 where
-        there is no node.  Each coordinate must lie in -1..lattice_cells[k]+1,
-        i.e. within one step of the lattice; raises ``ValueError`` naming the
-        first point that does not."""
-        points = np.asarray(points)
-        top = np.array(self.lattice_cells) + 1
-        outside = (points < -1) | (points > top)
-        if outside.any():
-            row, k = (int(v) for v in np.argwhere(outside)[0])
-            raise ValueError(
-                f"lookup point {tuple(int(v) for v in points[row])} is more than "
-                f"one step off the lattice: coordinate {k} must lie in "
-                f"-1..{int(top[k])}"
-            )
-        return self.lattice.reshape(-1)[_flat_index(self.lattice, points)]
 
 
 def _element_strides(lattice: np.ndarray) -> np.ndarray:
@@ -377,7 +360,8 @@ def build_grid(spec: GridSpec) -> Grid:
                 f"[{float(np.min(w))!r}, {float(np.max(w))!r}]"
             )
     else:
-        e2w = np.ones(n)
+        # a flat grid's weight is one stored 1.0, broadcast to every node
+        e2w = np.broadcast_to(1.0, (n,))
 
     for arr in (node_arr, lattice, e2w):
         arr.setflags(write=False)

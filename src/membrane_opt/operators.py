@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, _element_strides, _flat_index, neighbor_steps
+from .grid import Grid, _element_strides, neighbor_steps
 
 __all__ = [
     "FACTOR_MAX_NODES",
@@ -152,8 +152,9 @@ def _stencil(grid: Grid, order: int
     i + s + t are nodes, plus the clamped wall: behind each missing slot s,
     the wall point q = i + s adds 1 at q + t for each neighbor slot t, or
     at the mirror q - t where q + t is not a node.  The node mask of every
-    shift is one gather through ``grid.lattice`` at the nodes' flat index,
-    taken here, before an emitter allocates its storage.
+    shift is one gather through ``grid.lattice`` at the nodes' flat
+    positions (``Grid.positions``), taken here, before an emitter allocates
+    its storage.
     """
     d = grid.dimension
     strides = _element_strides(grid.lattice)
@@ -161,7 +162,7 @@ def _stencil(grid: Grid, order: int
     coefficients = [2 * d] + [-1] * (2 * d)
     pairs = moves if order == 2 else (moves[:, None] + moves).reshape(-1, d)
     offsets, first = np.unique(pairs @ strides, return_index=True)
-    flat = _flat_index(grid.lattice, grid.nodes)
+    flat = grid.positions()
     lattice = grid.lattice.reshape(-1)
     # by a shift's offset: the nodes i at which i + shift is a node
     node = {offset: lattice[flat + offset] >= 0 for offset in offsets.tolist()}
@@ -218,7 +219,7 @@ def _compressed(grid: Grid, order: int) -> sp.csr_matrix:
     """The stiffness of any grid as CSR with sorted indices: the terms
     accumulate into a (K, n) int16 table, one row per reach shift, whose
     non-zeros, taken node by node, are the entries; their columns are
-    gathered through the lattice at the nodes' flat index plus each
+    gathered through the lattice at the nodes' flat positions plus each
     shift's offset."""
     n = grid.node_count
     shifts, terms = _stencil(grid, order)
@@ -231,9 +232,10 @@ def _compressed(grid: Grid, order: int) -> sp.csr_matrix:
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     # each temporary goes as soon as it is spent: together they set the
     # assembly's peak, which the tests bound by twice the stored bytes
-    flat = _flat_index(grid.lattice, grid.nodes)
+    flat = grid.positions()
     columns = np.empty((len(shifts), n), dtype=index)
-    for k, offset in enumerate(shifts @ _element_strides(grid.lattice)):
+    # Python-int offsets keep flat + offset in the positions' dtype
+    for k, offset in enumerate((shifts @ _element_strides(grid.lattice)).tolist()):
         np.take(grid.lattice, flat + offset, out=columns[k])
     del flat
     indices = columns.T[keep]

@@ -233,25 +233,41 @@ class LevelSetPartition:
 def _bathtub_cut(phi: np.ndarray, spec: ProblemSpec):
     """The bathtub's ranking and cut for ``bathtub_rearrange``: the nodes
     ordered by (phi^2, node index) descending, the count k of upper-bound
-    nodes at the head of that order, the budget left before each ranked
-    node, and the fractional node (None when the budget divides evenly)."""
-    cells = spec.grid.cell_volumes
-    n = cells.shape[0]
+    nodes at the head of that order, the budget left before the k-th
+    ranked node, and the fractional node (None when the budget divides
+    evenly)."""
+    grid = spec.grid
+    n = grid.node_count
+    # taken first: it sums the cell volumes, one more n-vector
+    high_volume = target_high_mass(spec)
+    # one stable sort of -phi^2 breaks ties by node index, as a lexsort on
+    # (index, -phi^2) does; -0.0 and 0.0 compare equal in both
     key = phi * phi
-    order = np.lexsort((np.arange(n), -key))
-    ranked = cells[order]
-    # budget left before each ranked node, subtracted left to right so the
-    # rounding is that of a sequential fill (budget - cumsum is not)
-    left = np.subtract.accumulate(np.concatenate(([target_high_mass(spec)], ranked)))
+    np.negative(key, out=key)
+    order = np.argsort(key, kind="stable")
+    del key
+    ranked = grid.cell_volumes[order]
+    # budget left before each ranked node, subtracted left to right in one
+    # buffer so the rounding is that of a sequential fill (budget - cumsum
+    # is not)
+    left = np.empty(n + 1)
+    left[0] = high_volume
+    left[1:] = ranked
+    np.subtract.accumulate(left, out=left)
     # k = rank of the first node that no longer fits; every node before it
     # takes the upper bound, and no later node is considered
-    k = int(np.argmin(np.append(left[:-1] >= ranked * (1.0 - 1e-12), False)))
+    ranked *= 1.0 - 1e-12
+    fits = left[:-1] >= ranked
+    k = int(np.argmin(fits))
+    if fits[k]:
+        k = n
     # skipping this much budget would miss the mass target; the threshold
     # is mass-relative so huge boxes stay exact too
+    remaining = float(left[k])
     fractional = None
-    if k < n and left[k] * (spec.rho_max - spec.rho_min) > 1e-14 * spec.mass:
+    if k < n and remaining * (spec.rho_max - spec.rho_min) > 1e-14 * spec.mass:
         fractional = int(order[k])
-    return order, k, left, fractional
+    return order, k, remaining, fractional
 
 
 class _Split(NamedTuple):
@@ -291,29 +307,29 @@ def bathtub_rearrange(phi: np.ndarray,
     if phi.shape != (n,):
         raise ValueError(f"phi has shape {phi.shape}, grid has {n} nodes")
 
-    cells = grid.cell_volumes
     lo, hi = spec.rho_min, spec.rho_max
-    order, k, left, fractional = _bathtub_cut(phi, spec)
-
-    rho = np.full(n, lo)
-    rho[order[:k]] = hi
-    if fractional is not None:
-        cell = float(cells[fractional])
-        rho[fractional] = lo + (hi - lo) * (left[k] / cell)
-        # pin the mass exactly by recomputing the fractional value
-        others = float(rho @ cells) - rho[fractional] * cell
-        value = (spec.mass - others) / cell
-        rho[fractional] = min(max(value, lo), hi)
-
+    order, k, remaining, fractional = _bathtub_cut(phi, spec)
     if fractional is not None:
         threshold = float(phi[fractional])
     else:
         # the last upper-bound node, or the top-ranked one if none fits
         threshold = float(phi[order[max(k - 1, 0)]])
-
     high_arr = np.sort(order[:k])
+    del order
+
+    rho = np.full(n, lo)
+    rho[high_arr] = hi
+    if fractional is not None:
+        cells = grid.cell_volumes
+        cell = float(cells[fractional])
+        rho[fractional] = lo + (hi - lo) * (remaining / cell)
+        # pin the mass exactly by recomputing the fractional value
+        others = float(rho @ cells) - rho[fractional] * cell
+        value = (spec.mass - others) / cell
+        rho[fractional] = min(max(value, lo), hi)
+
     low_mask = np.ones(n, dtype=bool)
-    low_mask[order[:k]] = False
+    low_mask[high_arr] = False
     if fractional is not None:
         low_mask[fractional] = False
     low_arr = np.flatnonzero(low_mask)
@@ -450,7 +466,7 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
         raise ValueError("iteration cap must be >= 1")
     grid = spec.grid
     stiffness = spec.stiffness
-    rho = _resolve_init(spec, init)
+    density = _resolve_init(spec, init)
 
     trace = OptimizationTrace()
     # the partitions of the last two iterations, newest first
@@ -458,11 +474,12 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
     prev2: LevelSetPartition | None = None
     warm: np.ndarray | None = None
 
-    density = rho
     pair: EigenPair | None = None
     partition: LevelSetPartition | None = None
     for it in range(max_alternations):
-        weights = assemble_weight(grid, rho.values)
+        weights = assemble_weight(grid, density.values)
+        # the solve needs no more of the density than its weights
+        del density
         # a solve whose split may end the run takes the full stopping test
         stop = None if it == max_alternations - 1 or spec.rho_min == spec.rho_max \
             else _split_decided(spec, (prev, prev2))
@@ -489,7 +506,8 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
         if spec.rho_min == spec.rho_max:
             trace.status = CONVERGED
             break
-        # rho is the bathtub of prev, so a repeat makes it a fixed point
+        # the density just solved is the bathtub of prev, so a repeat makes
+        # it a fixed point
         if _same_split(partition, prev):
             trace.status = CONVERGED
             break
@@ -497,7 +515,6 @@ def minimize(spec: ProblemSpec, init=None, opts: SolverOptions = SolverOptions()
             trace.status = CYCLING
             break
         prev2, prev = prev, partition
-        rho = density
 
     density.validate(spec, two_valued=True)
     return density, pair, partition, trace

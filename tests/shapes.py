@@ -1,4 +1,5 @@
-"""An arbitrary node-set shape for the tests.
+"""An arbitrary node-set shape for the tests, and a node lookup by
+coordinates.
 
 ``build_grid`` takes any object with a vectorized ``contains(points)``
 that maps the (N, d) array of lattice point centers to an (N,) bool
@@ -31,3 +32,12 @@ class Region:
             index = np.rint((points - origin) / h).astype(np.int64)
             return np.any(np.all(index[:, None, :] == members[None], axis=2), axis=1)
         return cls(inside)
+
+
+def node_lookup(grid, points) -> np.ndarray:
+    """Node index of each row of (N, d) integer coordinates, -1 where there
+    is none, through a dict of the grid's nodes: a reference that does not
+    read the lattice."""
+    index = {tuple(node): i for i, node in enumerate(grid.nodes.tolist())}
+    return np.array([index.get(tuple(point), -1) for point in np.asarray(points).tolist()],
+                    dtype=np.int64)

@@ -727,6 +727,40 @@ def test_extract_contour_memory_stays_off_the_cell_table():
     assert peak < 3_500_000
 
 
+def _power_steps(stiffness, weights, steps):
+    """The error that ``first_eigenpair`` raises after ``steps`` steps."""
+    try:
+        mo.first_eigenpair(stiffness, weights, mo.SolverOptions(max_iterations=steps))
+    except mo.EigenConvergenceError as exc:
+        return exc
+    return None
+
+
+def test_power_steps_allocate_the_solve_and_few_vectors():
+    # three conjugate-gradient power steps on the disk's 51429 nodes, two of
+    # them warm-started.  A step holds the iterate, W x and the solve's x, r,
+    # p and one product A p (2.5 MB traced), not a fresh right-hand side,
+    # warm start and scratch next to two live products (4.9 MB)
+    g = mo.build_grid(mo.disk_spec(1.0 / 128))
+    stiffness = mo.assemble_stiffness(g)
+    error, peak = _traced_peak(_power_steps, stiffness, np.ones(g.node_count), 3)
+    assert error is not None and error.best.iterations >= 2
+    assert peak < 2_800_000
+
+
+def test_bathtub_ranks_without_index_and_budget_copies():
+    # one stable argsort of -phi^2 and one (n + 1) budget buffer (1.3 MB
+    # traced), not a lexsort with an index key and concatenated, appended
+    # copies of the budget (2.9 MB)
+    g = mo.build_grid(mo.disk_spec(1.0 / 128))
+    spec = mo.ProblemSpec(g, 0.5, 2.0, mo.domain_volume(g))
+    phi = 1.0 - np.sum(g.coordinates() ** 2, axis=1)
+    (density, partition), peak = _traced_peak(mo.bathtub_rearrange, phi, spec)
+    density.validate(spec, two_valued=True)
+    assert partition.high_count > 0 and partition.low_count > 0
+    assert peak < 1_600_000
+
+
 # ---------------------------------------------------------------------------
 # the config key table
 

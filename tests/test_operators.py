@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import membrane_opt as mo
 from membrane_opt import operators
-from shapes import Region
+from shapes import Region, node_lookup
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_1d_clamped_beam_rows():
 def test_deep_interior_13_point_stencil():
     g = mo.build_grid(mo.square_spec(0.1))
     b = mo.assemble_stiffness(g, order=4)
-    center = int(g.lookup([(5, 5)])[0])
+    center = int(node_lookup(g, [(5, 5)])[0])
     row = b.matrix.toarray()[center] * g.spacing**4
     coefs = {}
     for j in np.nonzero(row)[0]:
@@ -223,8 +223,8 @@ def _coo_laplacian(grid):
     """Integer-unit Laplacian through COO triplets, duplicates summed."""
     n = grid.node_count
     unit = np.eye(grid.dimension, dtype=np.int64)
-    neighbors = np.stack([grid.lookup(grid.nodes + s) for s in np.concatenate([-unit, unit])],
-                         axis=1)
+    neighbors = np.stack([node_lookup(grid, grid.nodes + s)
+                          for s in np.concatenate([-unit, unit])], axis=1)
     src, slot = np.nonzero(neighbors >= 0)
     rows = np.concatenate([np.arange(n), src])
     cols = np.concatenate([np.arange(n), neighbors[src, slot]])
