@@ -5,14 +5,18 @@ inside a shape and strictly inside the lattice bounding box.  Nodes are
 ordered lexicographically by integer coordinate, so construction is
 bitwise deterministic.  A dense lattice index array, padded by one layer
 on every side, maps every lattice point back to its node (-1 where there
-is none).  A point's place in it is one flat index, its coordinates plus
-one dotted with the array's element strides: the lattice map is one
-scatter at the nodes' flat indices, ``Grid.positions``, and a step from
-every node at once, stencil neighbors included, is one gather at those
-positions plus the step's offset, with no table of coordinates; a
-reflection flips the lattice.  Boundary values are never stored: a
-missing axis neighbor means the homogeneous Dirichlet condition applies
-across that edge.
+is none).  It is built from a boolean image of the inner box, the lattice
+points off the bounding-box boundary: the shape is evaluated once at
+their centers, the lattice map is one masked assignment of node numbers
+into the padded lattice's inner view, and the nodes are the integer
+coordinates of the image's true entries, read through it one axis at a
+time, with no integer table of the box.  A point's place in the
+flat lattice is its coordinates plus one dotted with the array's element
+strides; ``Grid.positions`` gives it for every node, a step from every
+node at once, stencil neighbors included, is one gather at those
+positions plus the step's offset, and a reflection flips the lattice.
+Boundary values are never stored: a missing axis neighbor means the
+homogeneous Dirichlet condition applies across that edge.
 
 Both per-point inputs are array functions, each called once per grid.  A
 shape is any object with a vectorized ``contains(points)`` that maps the
@@ -300,14 +304,6 @@ def _element_strides(lattice: np.ndarray) -> np.ndarray:
     return np.array(lattice.strides, dtype=np.int64) // lattice.itemsize
 
 
-def _flat_index(lattice: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Position in ``lattice.reshape(-1)`` of each row of (N, d) integer
-    coordinates: the coordinates plus one (the padding layer) dotted with the
-    element strides.  Only points within one step of the lattice have a
-    position of their own; any other may alias another point's."""
-    return (points + 1) @ _element_strides(lattice)
-
-
 def neighbor_steps(dimension: int) -> np.ndarray:
     """Integer coordinate step to each of the 2d axis neighbors, shape
     (2d, d), ordered (axis0-, axis0+, axis1-, axis1+, ...)."""
@@ -320,8 +316,11 @@ def build_grid(spec: GridSpec) -> Grid:
 
     Interior nodes are exactly the lattice points whose center satisfies
     the shape predicate and which do not lie on the lattice boundary of
-    the bounding box.  Raises on an empty interior and on a background
-    weight e^(dw) that overflows or underflows.
+    the bounding box.  The shape is called once, on the centers of the
+    inner box's points; its answer, reshaped, is a boolean image of the
+    inner box, and the image alone gives the lattice map and the nodes.
+    Raises on an empty interior and on a background weight e^(dw) that
+    overflows or underflows.
     """
     d, h = spec.dimension, spec.spacing
     cells = []
@@ -329,20 +328,33 @@ def build_grid(spec: GridSpec) -> Grid:
         cells.append(int(math.floor((hi - lo) / h + 1e-9)))
     origin = np.array([lo for lo, _ in spec.bounds])
 
-    # lattice points off the bounding-box boundary, in C (lexicographic) order
+    # the inner box: integer coordinates 1 .. cells - 1 on every axis, as
+    # one (1, .., inner[k], .., 1) vector per axis that broadcasts over it
     inner = tuple(max(c - 1, 0) for c in cells)
-    candidates = np.indices(inner, dtype=np.int64).reshape(d, -1).T + 1
-    node_arr = candidates[spec.shape.contains(origin + h * candidates.astype(float))]
-    n = node_arr.shape[0]
+    axes = [np.arange(1, m + 1).reshape([m if j == k else 1 for j in range(d)])
+            for k, m in enumerate(inner)]
+    # its centers origin + h * i in C (lexicographic) order, one column at a time
+    points = np.empty((math.prod(inner), d))
+    box = points.reshape(inner + (d,))
+    for k, axis in enumerate(axes):
+        box[..., k] = origin[k] + h * axis
+    inside = np.asarray(spec.shape.contains(points), dtype=bool).reshape(inner)
+    # the centers go before the lattice and the nodes are made
+    del points, box
+    n = int(np.count_nonzero(inside))
     if n == 0:
         raise ValueError(
             "degenerate domain: no interior nodes "
             f"(shape {type(spec.shape).__name__}, h={h})"
         )
 
-    # the lattice map is one scatter at the nodes' flat indices
+    # the image, numbered in C order, is the padded lattice's inner view,
+    # and a node's coordinates are its axis vectors read through the image
     lattice = np.full(tuple(c + 3 for c in cells), -1, dtype=np.int64)
-    lattice.reshape(-1)[_flat_index(lattice, node_arr)] = np.arange(n)
+    lattice[(slice(2, -2),) * d][inside] = np.arange(n)
+    node_arr = np.empty((n, d), dtype=np.int64)
+    for k, axis in enumerate(axes):
+        node_arr[:, k] = np.broadcast_to(axis, inner)[inside]
 
     if spec.background is not None:
         w = np.asarray(spec.background(origin + node_arr * h), dtype=float)

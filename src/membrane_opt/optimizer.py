@@ -280,9 +280,14 @@ class _Split(NamedTuple):
 
 def _split(phi: np.ndarray, spec: ProblemSpec) -> _Split:
     """The split that ``bathtub_rearrange(phi, spec)`` reports, without
-    building its density."""
+    building its density.  Its high set is kept as int32 where the node
+    count fits: a split stays alive through the power steps that follow,
+    and ``_same_split`` compares values, not dtypes."""
     order, k, _, fractional = _bathtub_cut(phi, spec)
-    return _Split(np.sort(order[:k]), fractional)
+    index = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+    high = order[:k].astype(index)
+    high.sort()
+    return _Split(high, fractional)
 
 
 def bathtub_rearrange(phi: np.ndarray,

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -704,6 +705,16 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
+def test_build_grid_memory_stays_off_coordinate_tables():
+    # the h=1/128 disk, 51429 of 65025 inner-box points: the float centers
+    # and the shape's temporaries, then the lattice and the nodes (2.1 MB
+    # traced, 1.36 MB of it the grid), not an int64 coordinate table of the
+    # box with its shifted and float copies next to a flat-index vector (4.0 MB)
+    g, peak = _traced_peak(mo.build_grid, mo.disk_spec(1.0 / 128))
+    assert g.node_count == 51429
+    assert peak < 2_500_000
+
+
 def test_count_components_memory_stays_off_coordinate_tables():
     # an annulus of about the disk's low region: 41000 of 51429 nodes.  The
     # count allocates a few int32 vectors (2.5 MB traced), not (m, 2) int64
@@ -779,6 +790,32 @@ def test_config_hash_is_pinned(text, subcommand, digest):
     # every artifact header carries this hash of the parsed keys, so a
     # change to the parser must leave it alone
     assert parse_config(text, subcommand=subcommand).config_hash == digest
+
+
+ANNULUS = ("shape = annulus\nr_in = 0.3\nr_out = 1\nh = 1/32\nA = 0.6931471805599453\n"
+           "M = 2.8588493147667116\n")
+FLAT_BALL_4D = "shape = disk\nd = 4\nh = 1/5\nlam = 0.5\nLam = 2\nM = 8\n"
+
+
+@pytest.mark.parametrize("text, subcommand, digest", [
+    ((CONFIGS / "disk.cfg").read_text().replace("h = 1/64", "h = 1/128"), "solve",
+     "25f53511ffa01acea44a55e851f254110c2e0993456921c18912a31cd2581473"),
+    ((CONFIGS / "dumbbell_sweep.cfg").read_text(), "sweep",
+     "663a9f4d8ba062d3eda4e73f3dde7ffcf8c68c714eae629bbc7cbff880b5f630"),
+    ((CONFIGS / "plate_4d.cfg").read_text(), "plate",
+     "6dc11aa4a633616470ed4d6e0c27ae12354b5e996ecf5ac56e195798b225dc9d"),
+    (ANNULUS, "solve", "df331320e374449acd4145817ed3367b1733252d6520c8bc2f91eefa287c5216"),
+    (CURVED_DISK, "check", "9e221a7e18d31a1bb1acc31e57a3448332b0bd9a8af62a494177e8fcce773b10"),
+    (FLAT_BALL_4D, "plate", "0eacc435e1dfe5e46f49cdaf88eb55b6551e51f65930d151e791d1e7e147538f"),
+], ids=["disk-h128", "dumbbell-sweep", "plate-4d", "annulus", "curved-disk", "flat-ball-4d"])
+def test_grid_bytes_are_pinned(text, subcommand, digest):
+    # grid.csv and the node and lattice arrays of each grid, so that a change
+    # to the grid build must leave every grid bit-identical
+    grid = parse_config(text, subcommand=subcommand).grid
+    stream = io.StringIO()
+    grid_csv(stream, grid)
+    payload = stream.getvalue().encode() + grid.nodes.tobytes() + grid.lattice.tobytes()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 @pytest.mark.parametrize("line", [

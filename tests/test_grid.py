@@ -171,6 +171,32 @@ def test_grid_csv_layout():
     assert len(lines) == 2 + g.node_count
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 4])
+def test_shape_and_background_are_each_called_once(dimension):
+    # both per-point inputs see one (N, d) float array per build: the shape
+    # every inner-box center, the background every node center
+    calls = {"shape": [], "background": []}
+    disk = mo.Disk((0.0,) * dimension, 1.0)
+
+    def contains(points):
+        calls["shape"].append(points)
+        return disk.contains(points)
+
+    def background(points):
+        calls["background"].append(points)
+        return 0.1 * points[:, 0]
+
+    bounds = mo.disk_spec(0.25, dimension=dimension).bounds
+    g = mo.build_grid(mo.GridSpec(dimension, 0.25, bounds, Region(contains), background))
+    (points,), (centers,) = calls["shape"], calls["background"]
+    assert points.dtype == centers.dtype == np.float64
+    assert points.shape == (7**dimension, dimension)
+    assert centers.shape == (g.node_count, dimension)
+    assert np.array_equal(centers, g.coordinates())
+    image = disk.contains(points).reshape((7,) * dimension)
+    assert np.array_equal(g.nodes, np.argwhere(image) + 1)
+
+
 def test_grid_arrays_are_read_only():
     g = mo.build_grid(mo.square_spec(0.25))
     with pytest.raises(ValueError):

@@ -555,6 +555,21 @@ def test_split_change_is_zero_exactly_on_the_same_split(split_a, split_b):
     assert (change == 0) == optimizer._same_split(a, b)
 
 
+def test_split_is_the_bathtub_split_in_int32():
+    # the stop test's split outlives the power steps that follow it, so it
+    # keeps its high set in int32; the comparison with an int64 partition
+    # still holds, since it reads values only
+    g = mo.build_grid(mo.disk_spec(1.0 / 16))
+    spec = mo.ProblemSpec(g, 0.5, 2.0, mo.domain_volume(g))
+    phi = 1.0 - np.sum(g.coordinates() ** 2, axis=1) + 0.1 * g.coordinates()[:, 0]
+    split = optimizer._split(phi, spec)
+    _, partition = mo.bathtub_rearrange(phi, spec)
+    assert split.high_nodes.dtype == np.int32
+    assert split.high_nodes.tolist() == partition.high_nodes.tolist()
+    assert split.fractional_node == partition.fractional_node
+    assert optimizer._same_split(split, partition)
+
+
 @given(_SPLIT, _SPLIT, st.sampled_from([8, 100, 200, 400]),
        st.sampled_from([0.0, 5e-9, 2e-8]))
 @settings(max_examples=60, deadline=None)
